@@ -316,10 +316,12 @@ class DisplayModule(Module):
         ref = payload.get("frame")
         if ref is None:
             return  # a reps-only update; nothing to composite
-        frame = ctx.get_frame(ref)
+        # the payload carries this frame's own capture time; with frame
+        # dedup the stored object may be an earlier byte-identical copy
+        capture_time = payload["capture_time"]
 
         def finish():
-            ctx.record_stage("total_duration", ctx.now - frame.capture_time)
+            ctx.record_stage("total_duration", ctx.now - capture_time)
             ctx.frame_completed(payload["frame_id"])
             ctx.signal_source()
 

@@ -255,10 +255,19 @@ class InvariantAuditor:
 
     # -- kernel hygiene ---------------------------------------------------------
     def attach_kernel(self, kernel: "Kernel") -> None:
-        """Observe *kernel* for clock monotonicity and past-scheduling."""
-        if not self._kernel_attached:
+        """Observe *kernel* for clock monotonicity and past-scheduling.
+
+        The checks are kernel-global, so a kernel carries one hygiene
+        observer: the first auditor attached to it. In a fleet, where every
+        home's auditor shares one kernel, that auditor records hygiene
+        violations for all of them and each event costs two hook calls,
+        not two per home.
+        """
+        if self._kernel_attached:
+            return
+        self._kernel_attached = True
+        if not any(isinstance(o, InvariantAuditor) for o in kernel.observers):
             kernel.add_observer(self)
-            self._kernel_attached = True
 
     def on_schedule(self, now: float, event: "Event") -> None:
         if event.time < now - _EPS:

@@ -7,7 +7,7 @@ then by insertion sequence, which makes execution fully deterministic.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 #: Priority for urgent events (e.g. interrupts) that must run before normal
@@ -60,46 +60,74 @@ class Event:
 class EventQueue:
     """A binary-heap priority queue of :class:`Event` objects.
 
+    Heap entries are ``(time, priority, seq, event)`` tuples. ``seq`` is
+    unique per kernel, so :mod:`heapq` orders entries by C tuple comparison
+    and never falls through to :meth:`Event.__lt__`. The key is captured at
+    :meth:`push`; the kernel compares the popped event's own ``time``
+    against its clock, so an event mutated behind the queue's back is
+    still caught.
+
     Cancellation is lazy: cancelled events stay in the heap and are skipped
-    when popped, which keeps :meth:`cancel` O(1).
+    when popped, which keeps :meth:`cancel` O(1). The live count is taken
+    by a scan, so the hot path keeps no counter that a late cancel could
+    skew.
     """
 
+    __slots__ = ("_heap",)
+
     def __init__(self) -> None:
-        self._heap: list[Event] = []
-        self._live = 0
+        self._heap: list[tuple[float, int, int, Event]] = []
 
     def __len__(self) -> int:
-        return self._live
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def __bool__(self) -> bool:
-        return self._live > 0
+        return any(not entry[3].cancelled for entry in self._heap)
 
     def push(self, event: Event) -> None:
-        heapq.heappush(self._heap, event)
-        self._live += 1
+        heappush(self._heap, (event.time, event.priority, event.seq, event))
 
     def cancel(self, event: Event) -> None:
-        """Mark *event* so it will be skipped when it reaches the front."""
-        if not event.cancelled:
-            event.cancelled = True
-            self._live -= 1
+        """Mark *event* so it will be skipped when it reaches the front.
+
+        Cancelling an event that already ran, or was already cancelled,
+        changes nothing.
+        """
+        event.cancelled = True
+
+    def pop_due(self, until: float | None = None) -> Event | None:
+        """Remove and return the earliest live event due at or before
+        *until* (any time when ``None``).
+
+        Returns ``None`` when no live event remains, or when the earliest
+        one lies beyond *until*; that event then stays queued.
+        """
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if entry[3].cancelled:
+                heappop(heap)
+            elif until is not None and entry[0] > until:
+                return None
+            else:
+                return heappop(heap)[3]
+        return None
 
     def pop(self) -> Event:
         """Remove and return the earliest live event.
 
         Raises :class:`IndexError` when the queue holds no live events.
         """
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                self._live -= 1
-                return event
-        raise IndexError("pop from empty event queue")
+        event = self.pop_due()
+        if event is None:
+            raise IndexError("pop from empty event queue")
+        return event
 
     def peek_time(self) -> float | None:
         """Return the time of the earliest live event, or ``None`` if empty."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heappop(heap)
+        if not heap:
             return None
-        return self._heap[0].time
+        return heap[0][0]

@@ -47,7 +47,7 @@ class Kernel:
 
     @property
     def pending_events(self) -> int:
-        """Events still queued (cancelled ones may be counted until popped)."""
+        """Live events still queued; cancelled ones are not counted."""
         return len(self._queue)
 
     # -- observation ------------------------------------------------------------
@@ -59,6 +59,11 @@ class Kernel:
         run is bit-for-bit identical to an unobserved one."""
         if observer not in self._observers:
             self._observers = self._observers + (observer,)
+
+    @property
+    def observers(self) -> tuple:
+        """The registered observers, in registration order."""
+        return self._observers
 
     def remove_observer(self, observer: Any) -> None:
         """Unregister an observer (no-op when not registered)."""
@@ -72,11 +77,18 @@ class Kernel:
         *args: Any,
         priority: int = NORMAL,
     ) -> Event:
-        """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay:.6f}s in the past")
-        self._seq += 1
-        event = Event(self._now + delay, priority, self._seq, callback, args)
+        """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
+
+        Every kernel event is created here, and observers hear of each one
+        here, so a tap on the kernel sees the complete event stream.
+        """
+        # ``not >=`` so NaN fails too: a NaN key would corrupt heap order
+        if not delay >= 0:
+            raise SimulationError(
+                f"cannot schedule an event with delay {delay!r}:"
+                " delays are non-negative seconds")
+        self._seq = seq = self._seq + 1
+        event = Event(self._now + delay, priority, seq, callback, args)
         self._queue.push(event)
         if self._observers:
             for observer in self._observers:
@@ -108,12 +120,8 @@ class Kernel:
         return Process(self, gen, name)
 
     # -- execution -----------------------------------------------------------------
-    def step(self) -> bool:
-        """Execute the single earliest event. Returns False if none remain."""
-        try:
-            event = self._queue.pop()
-        except IndexError:
-            return False
+    def _execute(self, event: Event) -> None:
+        """Advance the clock to *event* and run its callback."""
         if self._observers:
             # notified before the monotonicity check so an auditor records
             # the violation even when the kernel aborts the run
@@ -123,6 +131,13 @@ class Kernel:
             raise SimulationError("event queue corrupted: time went backwards")
         self._now = event.time
         event.callback(*event.args)
+
+    def step(self) -> bool:
+        """Execute the single earliest event. Returns False if none remain."""
+        event = self._queue.pop_due()
+        if event is None:
+            return False
+        self._execute(event)
         return True
 
     def run(self, until: float | None = None) -> float:
@@ -136,19 +151,22 @@ class Kernel:
             raise SimulationError("kernel is already running (re-entrant run())")
         self._running = True
         self._stopped = False
+        pop_due = self._queue.pop_due
+        wait_until = self._wait_until
+        execute = self._execute
         try:
             while not self._stopped:
-                next_time = self._queue.peek_time()
-                if next_time is None:
+                event = pop_due(until)
+                if event is None:
                     break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                self._wait_until(next_time)
-                self.step()
+                wait_until(event.time)
+                execute(event)
             else:
                 return self._now
-            if until is not None and self._now < until and not self._queue:
+            # events remain beyond *until*, or the queue drained early
+            if until is not None and (
+                self._queue.peek_time() is not None or self._now < until
+            ):
                 self._now = until
             return self._now
         finally:
@@ -161,13 +179,13 @@ class Kernel:
         :class:`SimulationError`.
         """
         while signal.pending:
-            next_time = self._queue.peek_time()
-            if next_time is None:
-                raise SimulationError("event queue drained before signal resolved")
-            if limit is not None and next_time > limit:
+            event = self._queue.pop_due(limit)
+            if event is None:
+                if self._queue.peek_time() is None:
+                    raise SimulationError("event queue drained before signal resolved")
                 raise SimulationError(f"signal unresolved at time limit {limit}")
-            self._wait_until(next_time)
-            self.step()
+            self._wait_until(event.time)
+            self._execute(event)
         return signal.value
 
     def stop(self) -> None:

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import Interrupt, SimulationError
 from .events import URGENT
-from .signals import Signal
+from .signals import PENDING, Signal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Kernel
@@ -92,7 +92,7 @@ class Process:
 
     # -- engine --------------------------------------------------------------
     def _resume(self, epoch: int, value: Any, exc: BaseException | None) -> None:
-        if epoch != self._epoch or not self.alive:
+        if epoch != self._epoch or self.done._state != PENDING:
             return  # stale wakeup (process was interrupted or already ended)
         self._waiting_on = None
         try:
@@ -119,9 +119,8 @@ class Process:
             )
 
     def _wait_on(self, target: Any) -> None:
-        signal = self._as_signal(target)
-        self._epoch += 1
-        epoch = self._epoch
+        signal = target if type(target) is Signal else self._as_signal(target)
+        self._epoch = epoch = self._epoch + 1
         self._waiting_on = signal
 
         def waiter(value: Any, exc: BaseException | None) -> None:

@@ -98,9 +98,14 @@ class Signal:
         return self
 
     def _dispatch(self) -> None:
-        waiters, self._waiters = self._waiters, []
+        waiters = self._waiters
+        if not waiters:
+            return
+        self._waiters = []
+        schedule = self.kernel.schedule
+        value, exc = self._value, self._exc
         for waiter in waiters:
-            self.kernel.schedule(0.0, waiter, self._value, self._exc)
+            schedule(0.0, waiter, value, exc)
 
     # -- waiting ------------------------------------------------------------
     def wait(self, callback: Waiter) -> None:

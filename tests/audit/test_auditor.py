@@ -105,11 +105,62 @@ class TestKernelHygiene:
         kernel.schedule(1.0, lambda: None)
         event = kernel.schedule(2.0, lambda: None)
         kernel.step()  # now == 1.0
-        event.time = 0.5  # corrupt the heap entry behind the kernel's back
+        event.time = 0.5  # corrupt the queued event behind the kernel's back
         with pytest.raises(SimulationError):
             kernel.run()
         assert any("backwards" in v.detail or "non-monotonic" in v.detail
                    for v in auditor.violations)
+
+
+class _PastEvent:
+    time = -1.0
+    priority = 1
+    seq = 99
+
+
+def _inject_past_event(kernel):
+    """Hand every kernel observer an event stamped before the clock, the
+    way :meth:`Kernel.schedule` would announce one."""
+    for observer in kernel.observers:
+        observer.on_schedule(kernel.now, _PastEvent())
+
+
+class TestSharedKernelHygiene:
+    """Homes of a fleet share one kernel; its hygiene is checked once."""
+
+    def test_fleet_kernel_holds_one_auditor_observer(self):
+        from repro.fleet import Fleet, FleetConfig
+
+        fleet = Fleet(FleetConfig(homes=12, seed=1, audit=True,
+                                  strategy="colocated"))
+        assert all(home.auditor is not None for home in fleet.homes)
+        observers = [o for o in fleet.kernel.observers
+                     if isinstance(o, InvariantAuditor)]
+        assert observers == [fleet.homes[0].auditor]
+
+    def test_second_auditor_relies_on_the_first(self, kernel):
+        first, second = InvariantAuditor(kernel), InvariantAuditor(kernel)
+        first.attach_kernel(kernel)
+        second.attach_kernel(kernel)
+        second.attach_kernel(kernel)
+        assert kernel.observers == (first,)
+
+    def test_past_scheduled_event_is_still_recorded(self, kernel):
+        first, second = InvariantAuditor(kernel), InvariantAuditor(kernel)
+        first.attach_kernel(kernel)
+        second.attach_kernel(kernel)
+        _inject_past_event(kernel)
+        assert [v.invariant for v in first.violations] == ["kernel-hygiene"]
+        assert "scheduled in the past" in first.violations[0].detail
+
+    def test_past_scheduled_event_raises_in_strict_mode(self, kernel):
+        strict = AuditConfig(strict=True)
+        first = InvariantAuditor(kernel, strict)
+        second = InvariantAuditor(kernel, strict)
+        first.attach_kernel(kernel)
+        second.attach_kernel(kernel)
+        with pytest.raises(AuditError, match="scheduled in the past"):
+            _inject_past_event(kernel)
 
 
 class TestFrameRefConservation:

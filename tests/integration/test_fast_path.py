@@ -74,6 +74,22 @@ class TestFastPath:
                                          static_scene=True)[1])
         assert first == second
 
+    def test_static_scene_total_duration_times_each_frame(
+            self, fitness_recognizer):
+        """With dedup on, a static scene's frames all resolve to the first
+        stored copy; the display must still time each frame from its own
+        capture. A frame waits at most one interval in the source buffer
+        before admission, so its capture-to-display time is bounded by the
+        admission-to-completion latency plus one frame interval."""
+        fps = 30.0
+        home, on = run_fitness(fitness_recognizer, PerfConfig(),
+                               static_scene=True, fps=fps)
+        assert home.perf_stats()["dedup"]["ratio"] > 0.9
+        totals = on.metrics.stage_samples("total_duration")
+        latencies = on.metrics.total_latencies
+        assert totals and latencies
+        assert max(totals) <= max(latencies) + 1.0 / fps + 1e-9
+
     def test_perf_config_validation(self):
         from repro.errors import ConfigError
         with pytest.raises(ConfigError):

@@ -70,3 +70,27 @@ class TestEventQueue:
         q.push(make_event(1.0))
         assert q.peek_time() == 1.0
         assert len(q) == 1
+
+    def test_pop_due_leaves_later_events_queued(self):
+        q = EventQueue()
+        q.push(make_event(1.0, seq=1))
+        q.push(make_event(2.0, seq=2))
+        assert q.pop_due(1.5).time == 1.0
+        assert q.pop_due(1.5) is None
+        assert len(q) == 1
+        assert q.peek_time() == 2.0
+
+    def test_heap_orders_without_event_comparison(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("heap compared two Event objects")
+
+        monkeypatch.setattr(Event, "__lt__", refuse)
+        q = EventQueue()
+        keys = [(t, p, s) for s, (t, p) in enumerate(
+            [(1.0, NORMAL), (1.0, URGENT), (0.5, LOW), (1.0, NORMAL),
+             (0.5, LOW), (2.0, URGENT)], start=1)]
+        for key in reversed(keys):
+            q.push(make_event(*key))
+        popped = [(e.time, e.priority, e.seq) for e in
+                  iter(q.pop_due, None)]
+        assert popped == sorted(keys)

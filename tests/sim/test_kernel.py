@@ -5,7 +5,7 @@ import time as wall_time
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Kernel, RealtimeKernel
+from repro.sim import NORMAL, Event, Kernel, RealtimeKernel
 
 
 class TestScheduling:
@@ -15,6 +15,22 @@ class TestScheduling:
     def test_schedule_negative_delay_rejected(self):
         with pytest.raises(SimulationError):
             Kernel().schedule(-0.1, lambda: None)
+
+    def test_cancel_after_run_leaves_pending_count(self):
+        k = Kernel()
+        ran = k.schedule(1.0, lambda: None)
+        k.schedule(2.0, lambda: None)
+        k.run(until=1.5)
+        k.cancel(ran)  # already ran: a no-op
+        assert k.pending_events == 1
+        k.run()
+        assert k.pending_events == 0
+
+    def test_schedule_nan_delay_rejected(self):
+        k = Kernel()
+        with pytest.raises(SimulationError, match="nan"):
+            k.schedule(float("nan"), lambda: None)
+        assert k.pending_events == 0
 
     def test_events_run_in_time_order(self):
         k = Kernel()
@@ -84,6 +100,44 @@ class TestScheduling:
         assert seen == ["a"]
         k.run()
         assert seen == ["a", "b"]
+
+
+class PreFixGuardKernel(Kernel):
+    """``Kernel.schedule`` with the pre-fix guard ``delay < 0``, which a
+    NaN delay passes."""
+
+    def schedule(self, delay, callback, *args, priority=NORMAL):
+        if delay < 0:
+            raise SimulationError("negative delay")
+        self._seq += 1
+        event = Event(self._now + delay, priority, self._seq, callback, args)
+        self._queue.push(event)
+        return event
+
+
+class TestNanDelayMutation:
+    """Putting the old guard back lets a NaN key into the heap, and the
+    heap then runs real events out of time order."""
+
+    DELAYS = (1.0, float("nan"), 3.0, 2.0, 4.0)
+
+    def schedule_all(self, kernel, seen):
+        for delay in self.DELAYS:
+            kernel.schedule(delay, seen.append, delay)
+
+    def test_pre_fix_guard_misorders_events(self):
+        kernel, seen = PreFixGuardKernel(), []
+        self.schedule_all(kernel, seen)
+        with pytest.raises(SimulationError, match="backwards"):
+            kernel.run()
+        assert seen == [1.0, 3.0]  # 3.0 ran before 2.0
+
+    def test_fixed_guard_rejects_the_nan(self):
+        kernel, seen = Kernel(), []
+        with pytest.raises(SimulationError):
+            self.schedule_all(kernel, seen)
+        kernel.run()
+        assert seen == [1.0]
 
 
 class Recorder:

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Kernel, Resource
+from repro.sim import Kernel, RealtimeKernel, Resource
 from repro.sim.events import LOW, NORMAL, URGENT
 
 
@@ -117,3 +117,115 @@ def test_simulation_is_reproducible(seed):
         return trace
 
     assert run_once() == run_once()
+
+
+# -- the kernel against a reference model ---------------------------------------
+
+PRIORITIES = st.sampled_from([URGENT, NORMAL, LOW])
+# a few fixed delays so equal times are common, plus arbitrary ones
+DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 2.0)
+#: what an event does when it runs: nothing, stop the kernel, or schedule a
+#: child event with its own delay and priority
+ACTIONS = st.none() | st.just("stop") | st.tuples(st.just("child"), DELAYS,
+                                                  PRIORITIES)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), DELAYS, PRIORITIES, ACTIONS),
+        st.tuples(st.just("cancel"), st.integers(0, 63)),
+        st.tuples(st.just("stop")),
+        st.tuples(st.just("run"), st.none() | st.floats(0.0, 3.0)),
+    ),
+    max_size=40,
+)
+
+
+class ReferenceKernel:
+    """The kernel's contract, written plainly: pending events sorted by
+    ``(time, priority, seq)``, a stop honoured after the current event,
+    and the clock moved to ``until`` unless a stop ended the run."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.seq = 0
+        self.pending: dict[int, tuple] = {}
+        self.executed: list[int] = []
+
+    def schedule(self, delay, priority, action) -> None:
+        self.seq += 1
+        self.pending[self.seq] = (self.now + delay, priority, self.seq, action)
+
+    def cancel(self, seq: int) -> None:
+        self.pending.pop(seq, None)
+
+    def run(self, until):
+        while self.pending:
+            time, priority, seq, action = min(self.pending.values())
+            if until is not None and time > until:
+                self.now = until
+                return self.now
+            del self.pending[seq]
+            self.now = time
+            self.executed.append(seq)
+            if action == "stop":
+                return self.now
+            if action is not None:
+                self.schedule(action[1], action[2], None)
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
+
+
+def drive(kernel, ops):
+    """Apply *ops* to *kernel* and to the reference; compare after each run."""
+    model = ReferenceKernel()
+    events = []
+    executed = []
+
+    def fire(seq, action):
+        executed.append(seq)
+        if action == "stop":
+            kernel.stop()
+        elif action is not None:
+            schedule(action[1], action[2], None)
+
+    def schedule(delay, priority, action):
+        seq = len(events) + 1
+        events.append(kernel.schedule(delay, fire, seq, action,
+                                      priority=priority))
+
+    for op in ops:
+        if op[0] == "schedule":
+            schedule(*op[1:])
+            model.schedule(*op[1:])
+        elif op[0] == "cancel":
+            if events:
+                index = op[1] % len(events)
+                kernel.cancel(events[index])
+                model.cancel(index + 1)
+        elif op[0] == "stop":
+            kernel.stop()  # outside a run: the next run() clears it
+        else:
+            until = None if op[1] is None else kernel.now + op[1]
+            assert kernel.run(until) == model.run(until)
+            assert kernel.now == model.now
+            assert executed == model.executed
+            assert kernel.pending_events == len(model.pending)
+    assert kernel.run() == model.run(None)
+    assert executed == model.executed
+    assert [e.seq for e in events] == list(range(1, len(events) + 1))
+
+
+@given(ops=OPS)
+@settings(max_examples=200)
+def test_kernel_matches_reference_model(ops):
+    """Any interleaving of schedule, cancel, stop and run(until=) runs
+    events exactly as a plain sort by (time, priority, seq) would."""
+    drive(Kernel(), ops)
+
+
+@given(ops=OPS)
+@settings(max_examples=40, deadline=None)
+def test_realtime_kernel_matches_reference_model(ops):
+    """The realtime kernel shares the run loop: at high speed it orders
+    events exactly like the pure simulator."""
+    drive(RealtimeKernel(speed=1e5), ops)
