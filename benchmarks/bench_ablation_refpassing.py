@@ -9,9 +9,9 @@ A chain of co-located relay modules forwards frames three ways:
 * ``copy`` — each hop JPEG-encodes and re-decodes the full frame;
 * ``ref`` — hops pass a :class:`FrameRef` (the seed VideoPipe design),
   which still serializes the reference payload onto the loopback wire;
-* ``arena`` — the shared-memory frame plane: hops ship a flat
-  ``(arena_id, offset, generation)`` handle envelope and the payload tree
-  is never walked.
+* ``arena`` — the shared-memory frame plane
+  (``enable_data_plane`` without the replica pool): hops ship a flat
+  88-byte handle envelope and the payload tree is never walked.
 
 The test prints the per-hop cost of each and writes a JSON report
 (``REPRO_REFPASS_OUT`` chooses where; CI uploads it).
@@ -24,7 +24,7 @@ from repro import Module, VideoPipe, register_module
 from repro.frames import SyntheticCamera, encode_frame
 from repro.metrics import format_table
 from repro.motion import Squat
-from repro.pipeline import ModuleConfig, PipelineConfig
+from repro.pipeline import DataPlaneConfig, ModuleConfig, PipelineConfig
 
 from .conftest import FAST
 
@@ -127,7 +127,7 @@ def run_chain(mode: str):
     home = VideoPipe(seed=23)
     home.add_device("desktop")
     if mode == "arena":
-        home.enable_arena()
+        home.enable_data_plane(DataPlaneConfig(replica_pool=False))
     pipeline = home.deploy_pipeline(chain_config(mode),
                                     default_device="desktop")
     home.run(until=FRAMES * 0.05 + 2.0)

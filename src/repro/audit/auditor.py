@@ -13,10 +13,8 @@ Invariants covered (see ``docs/AUDIT.md`` for the full statement of each):
 * **frame-ref conservation** per :class:`~repro.frames.framestore.FrameStore`
   — every ``put`` is matched by releases, refcounts never go negative, and
   at end-of-run ``live_count == 0`` with per-holder attribution;
-* **arena handle conservation** per :class:`~repro.frames.arena.FrameArena`
-  — alloc/free/bytes counters agree with the auditor's independent mirror,
-  stale handle dereferences are flagged with their retire reason, and at
-  quiesce every live slot backs a stored frame (no orphaned pixel memory);
+* **no stale access** per :class:`~repro.frames.framestore.FrameStore` —
+  every dereference of a retired ref is flagged with its retire reason;
 * **message conservation** per :class:`~repro.net.transport.Transport` —
   ``sent == delivered + failed + in-flight`` at all times, with the
   auditor's own in-flight mirror cross-checked against the transport's;
@@ -60,7 +58,7 @@ from ..errors import AuditError
 from ..pipeline.config import AuditConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..frames.arena import ArenaHandle, FrameArena
+    from ..frames.frame import FrameRef
     from ..frames.framestore import FrameStore
     from ..metrics.collector import MetricsCollector
     from ..net.rpc import RpcClient
@@ -93,8 +91,7 @@ class Violation:
     Attributes:
         at: simulated time the violation was detected.
         invariant: which law broke (``frame-ref-conservation``,
-            ``arena-conservation``, ``arena-stale-access``,
-            ``message-conservation``, ``kernel-hygiene``,
+            ``stale-access``, ``message-conservation``, ``kernel-hygiene``,
             ``metrics-conservation``, ``autoscaler-pacing``,
             ``slo-ladder``, ``admission-conservation``, ``rpc-quiesce``,
             ``liveops-version-swap``, ``liveops-conservation``).
@@ -121,18 +118,6 @@ class _StoreState:
     held_since: dict[int, float] = field(default_factory=dict)
     holds: int = 0
     releases: int = 0
-
-
-@dataclass(slots=True)
-class _ArenaState:
-    """The auditor's mirror of one frame arena's handle conservation."""
-
-    allocs: int = 0
-    frees: int = 0
-    bytes_in_use: int = 0
-    #: live offsets mirrored independently: offset -> (generation, nbytes).
-    live: dict[int, tuple[int, int]] = field(default_factory=dict)
-    stale_accesses: int = 0
 
 
 @dataclass(slots=True)
@@ -212,7 +197,6 @@ class InvariantAuditor:
         self.dropped_violations = 0
         self.checks_run = 0
         self._stores: dict[int, tuple["FrameStore", _StoreState]] = {}
-        self._arenas: dict[int, tuple["FrameArena", _ArenaState]] = {}
         self._transports: dict[int, tuple["Transport", _TransportState]] = {}
         self._metrics: dict[int, tuple["MetricsCollector", _MetricsState]] = {}
         self._scalers: dict[int, tuple["AutoScaler", dict]] = {}
@@ -341,80 +325,14 @@ class InvariantAuditor:
         else:
             state.refcounts[ref_id] = refcount
 
-    # -- arena handle conservation ------------------------------------------------
-    def watch_arena(self, arena: "FrameArena") -> None:
-        """Mirror *arena*'s alloc/free accounting; flag stale handle
-        accesses now and unreleased slots at quiesce."""
-        if id(arena) in self._arenas:
-            return
-        arena.auditor = self
-        state = _ArenaState(
-            allocs=arena.allocs,
-            frees=arena.frees,
-            bytes_in_use=arena.bytes_in_use,
-        )
-        # an arena watched mid-run starts with its current live slots mirrored
-        for offset, handle in arena._live.items():
-            state.live[offset] = (handle.generation, handle.nbytes)
-        self._arenas[id(arena)] = (arena, state)
-
-    def on_arena_alloc(self, arena: "FrameArena", handle: "ArenaHandle") -> None:
-        entry = self._arenas.get(id(arena))
-        if entry is None:
-            return
-        state = entry[1]
-        state.allocs += 1
-        state.bytes_in_use += handle.nbytes
-        if handle.offset in state.live:
-            self.record(
-                "arena-conservation",
-                f"arena/{arena.arena_id}",
-                f"offset {handle.offset} allocated while the auditor still"
-                f" mirrors it live (generation"
-                f" {state.live[handle.offset][0]}) — a free was never"
-                " reported",
-            )
-        state.live[handle.offset] = (handle.generation, handle.nbytes)
-
-    def on_arena_free(
-        self, arena: "FrameArena", handle: "ArenaHandle", reason: str
-    ) -> None:
-        entry = self._arenas.get(id(arena))
-        if entry is None:
-            return
-        state = entry[1]
-        state.frees += 1
-        state.bytes_in_use -= handle.nbytes
-        mirrored = state.live.pop(handle.offset, None)
-        if mirrored is None:
-            self.record(
-                "arena-conservation",
-                f"arena/{arena.arena_id}",
-                f"free({reason}) of offset {handle.offset} the auditor does"
-                " not mirror as live — double free slipped past the"
-                " generation check",
-            )
-        elif mirrored[0] != handle.generation:
-            self.record(
-                "arena-conservation",
-                f"arena/{arena.arena_id}",
-                f"free({reason}) of offset {handle.offset} at generation"
-                f" {handle.generation} but the auditor mirrors generation"
-                f" {mirrored[0]} — a stale handle reached the free path",
-            )
-
     def on_stale_access(
-        self, arena: "FrameArena", handle: "ArenaHandle", reason: str
+        self, store: "FrameStore", ref: "FrameRef", reason: str
     ) -> None:
-        entry = self._arenas.get(id(arena))
-        if entry is None:
-            return
-        entry[1].stale_accesses += 1
         self.record(
-            "arena-stale-access",
-            f"arena/{arena.arena_id}",
-            f"stale handle {handle} dereferenced after the slot was retired"
-            f" ({reason}) — a holder kept a handle across"
+            "stale-access",
+            f"framestore/{store.device}",
+            f"stale reference {ref} dereferenced after the frame was"
+            f" {reason} — a holder kept a ref across"
             f" {'eviction' if reason == 'evicted' else reason} instead of"
             " re-resolving through the frame store",
         )
@@ -780,8 +698,6 @@ class InvariantAuditor:
         """
         start = len(self.violations)
         self.checks_run += 1
-        for arena, state in self._arenas.values():
-            self._check_arena(arena, state)
         for transport, state in self._transports.values():
             self._check_transport(transport, state)
         for collector, state in self._metrics.values():
@@ -803,8 +719,6 @@ class InvariantAuditor:
         self.check_now()
         for store, state in self._stores.values():
             self._check_store_quiesce(store, state)
-        for arena, state in self._arenas.values():
-            self._check_arena_quiesce(arena)
         for transport, state in self._transports.values():
             if transport.in_flight and not transport.closed:
                 self.record(
@@ -910,64 +824,6 @@ class InvariantAuditor:
                 f"frames_completed counter ({completed}) is below the"
                 f" admitted completions the collector reported"
                 f" ({state.completed_admitted})",
-            )
-
-    def _check_arena(self, arena: "FrameArena", state: _ArenaState) -> None:
-        subject = f"arena/{arena.arena_id}"
-        if arena.allocs != state.allocs or arena.frees != state.frees:
-            self.record(
-                "arena-conservation",
-                subject,
-                f"arena counts {arena.allocs} alloc(s) / {arena.frees}"
-                f" free(s) but the auditor mirrors {state.allocs} /"
-                f" {state.frees} — an alloc or free path skipped its"
-                " notification",
-            )
-        if arena.bytes_in_use != state.bytes_in_use:
-            self.record(
-                "arena-conservation",
-                subject,
-                f"arena reports {arena.bytes_in_use} byte(s) in use but the"
-                f" auditor mirrors {state.bytes_in_use} — per-slot sizes"
-                " disagree between alloc and free",
-            )
-        if arena.live_count != len(state.live):
-            self.record(
-                "arena-conservation",
-                subject,
-                f"arena reports {arena.live_count} live slot(s) but the"
-                f" auditor mirrors {len(state.live)}",
-            )
-
-    def _check_arena_quiesce(self, arena: "FrameArena") -> None:
-        """At quiesce every live arena slot must back a stored frame.
-
-        Retained dedup targets legitimately keep their slots, so the law is
-        *no orphans* rather than ``live_count == 0``: a slot the backing
-        store no longer maps is pixel memory nothing can ever free."""
-        store = None
-        for candidate, _ in self._stores.values():
-            if candidate.arena is arena:
-                store = candidate
-                break
-        if store is None:
-            if arena.live_count:
-                self.record(
-                    "arena-conservation",
-                    f"arena/{arena.arena_id}",
-                    f"{arena.live_count} live slot(s) at quiesce on an arena"
-                    " with no watched backing store",
-                )
-            return
-        backed = {handle.offset for handle in store._by_handle}
-        orphans = sorted(set(arena._live) - backed)
-        if orphans:
-            self.record(
-                "arena-conservation",
-                f"arena/{arena.arena_id}",
-                f"{len(orphans)} orphaned arena slot(s) at quiesce with no"
-                f" backing store entry (offsets, up to 5: {orphans[:5]}) —"
-                " pixel memory nothing can ever free",
             )
 
     def _check_store_quiesce(self, store: "FrameStore", state: _StoreState) -> None:

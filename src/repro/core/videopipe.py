@@ -200,8 +200,6 @@ class VideoPipe:
             self._apply_data_plane_to_device(device)
         if self.auditor is not None:
             self.auditor.watch_store(device.frame_store)
-            if device.arena is not None:
-                self.auditor.watch_arena(device.arena)
         ModuleRuntime(self.kernel, device, self._get_transport())
         if self.monitor is not None:
             self.monitor.add_probe(f"device/{spec.name}", device_probe(device))
@@ -384,64 +382,34 @@ class VideoPipe:
     def enable_data_plane(
         self, config: DataPlaneConfig | None = None
     ) -> DataPlaneConfig:
-        """Turn on the zero-copy data plane: per-device shared-memory frame
-        arenas and pooled service replicas, per *config* (defaults to
+        """Turn on the zero-copy data plane: shared-memory frame stores and
+        pooled service replicas, per *config* (defaults to
         :class:`DataPlaneConfig` — both on).
 
         Applies to every current and future device and service host, like
-        :meth:`enable_fast_path`. Arena-backed stores hand out generation-
-        counted handles so intra-device hops ship a fixed-size handle tuple
-        instead of walking and pricing the payload tree; pooled hosts share
-        the device's worker slots instead of statically partitioning them
-        (``docs/PERF.md``). With a config whose features are all off this is
-        a no-op.
+        :meth:`enable_fast_path`. On a shared-memory store an intra-device
+        hop ships a fixed-size handle tuple instead of walking and pricing
+        the payload tree; pooled hosts share the device's worker slots
+        instead of statically partitioning them (``docs/PERF.md``). With a
+        config whose features are all off this is a no-op.
         """
         self._data_plane = config or DataPlaneConfig()
         for device in self.devices.values():
             self._apply_data_plane_to_device(device)
         return self._data_plane
 
-    def enable_arena(
-        self, capacity_bytes: int | None = None
-    ) -> DataPlaneConfig:
-        """Arena half of :meth:`enable_data_plane` only (no replica pools).
-        Keeps an already-enabled pool config intact."""
-        prior = self._data_plane
-        return self.enable_data_plane(DataPlaneConfig(
-            arena=True,
-            arena_capacity_bytes=capacity_bytes,
-            replica_pool=prior.replica_pool if prior else False,
-            pool_slots=prior.pool_slots if prior else None,
-        ))
-
-    def enable_replica_pool(
-        self, slots: int | None = None
-    ) -> DataPlaneConfig:
-        """Pool half of :meth:`enable_data_plane` only (no arenas). Keeps
-        an already-enabled arena config intact."""
-        prior = self._data_plane
-        return self.enable_data_plane(DataPlaneConfig(
-            arena=prior.arena if prior else False,
-            arena_capacity_bytes=prior.arena_capacity_bytes if prior else None,
-            replica_pool=True,
-            pool_slots=slots,
-        ))
-
     def _apply_data_plane_to_device(self, device: Device) -> None:
         assert self._data_plane is not None
         if self._data_plane.arena:
-            arena = device.enable_arena(
-                capacity_bytes=self._data_plane.arena_capacity_bytes
-            )
-            if self.auditor is not None and arena.auditor is None:
-                self.auditor.watch_arena(arena)
+            device.frame_store.shared_memory = True
         if self._data_plane.replica_pool:
             device.enable_replica_pool(slots=self._data_plane.pool_slots)
 
     def data_plane_stats(self) -> dict:
-        """Aggregate data-plane statistics across the home: arena
-        allocation counters per device and replica-pool sharing counters.
-        All zeros while the data plane is off."""
+        """Aggregate data-plane statistics across the home: frame-plane
+        counters of every shared-memory frame store (``"arena"``) and
+        replica-pool sharing counters. All zeros while the data plane is
+        off."""
         arena = {
             "allocs": 0, "frees": 0, "live": 0, "bytes_in_use": 0,
             "peak_bytes": 0, "stale_accesses": 0, "by_device": {},
@@ -451,8 +419,8 @@ class VideoPipe:
             "by_device": {},
         }
         for name, device in self.devices.items():
-            if device.arena is not None:
-                stats = device.arena.stats()
+            if device.frame_store.shared_memory:
+                stats = device.frame_store.frame_stats()
                 arena["by_device"][name] = stats
                 arena["allocs"] += stats["allocs"]
                 arena["frees"] += stats["frees"]
@@ -519,8 +487,6 @@ class VideoPipe:
                 self.auditor.watch_transport(self.transport)
             for device in self.devices.values():
                 self.auditor.watch_store(device.frame_store)
-                if device.arena is not None:
-                    self.auditor.watch_arena(device.arena)
             for pipeline in self.pipelines:
                 self.auditor.watch_metrics(pipeline.metrics)
             if self.autoscaler is not None:

@@ -40,9 +40,6 @@ class Device:
         #: Filled by the deployer.
         self.runtime: "ModuleRuntime | None" = None
         self.service_hosts: dict[str, "ServiceHost"] = {}
-        #: The device's shared-memory frame arena, or ``None`` until
-        #: :meth:`enable_arena` backs the frame store with one.
-        self.arena = None
         #: The device's shared replica pool, or ``None`` until
         #: :meth:`enable_replica_pool` creates it.
         self.replica_pool = None
@@ -80,16 +77,6 @@ class Device:
             host.restart()
 
     # -- perf subsystems ------------------------------------------------------
-    def enable_arena(self, capacity_bytes: int | None = None):
-        """Back this device's frame store with a generation-counted
-        :class:`~repro.frames.arena.FrameArena` (idempotent; returns it)."""
-        if self.arena is None:
-            from ..frames.arena import FrameArena
-
-            self.arena = FrameArena(self.name, capacity_bytes=capacity_bytes)
-            self.frame_store.attach_arena(self.arena)
-        return self.arena
-
     def enable_replica_pool(self, slots: int | None = None):
         """Create the device's shared :class:`~repro.services.pool
         .ReplicaPool` (one slot per core by default; idempotent) and attach

@@ -101,11 +101,10 @@ class FrameStoreError(ReproError):
 
 
 class StaleHandleError(FrameStoreError):
-    """Raised when an arena handle is dereferenced after its slot was
-    retired (evicted, migrated off-device, or released) — the generation
-    counter on the slot no longer matches the handle's. Carries the retire
-    ``reason`` so the caller (and the auditor) can tell use-after-evict
-    from use-after-migrate from double-release."""
+    """Raised when a frame reference is dereferenced after the store
+    retired it (evicted, migrated off-device, or released). Carries the
+    retire ``reason`` so the caller (and the auditor) can tell
+    use-after-evict from use-after-migrate from double-release."""
 
     def __init__(self, message: str, reason: str = "unknown") -> None:
         super().__init__(message)

@@ -1,12 +1,5 @@
 """Frames: capture, compression, storage-by-reference, and pacing."""
 
-from .arena import (
-    EVICTED,
-    MIGRATED,
-    RELEASED,
-    ArenaHandle,
-    FrameArena,
-)
 from .codec import (
     DECODE_NS_PER_PIXEL,
     ENCODE_NS_PER_PIXEL,
@@ -19,7 +12,7 @@ from .codec import (
 )
 from .digest import content_digest
 from .frame import FrameRef, VideoFrame
-from .framestore import FrameStore
+from .framestore import EVICTED, MIGRATED, RELEASED, FrameStore
 from .synthetic import (
     detect_foreground_bbox,
     foreground_fraction,
@@ -29,12 +22,10 @@ from .synthetic import (
 from .video_source import SyntheticCamera, VideoSource
 
 __all__ = [
-    "ArenaHandle",
     "DECODE_NS_PER_PIXEL",
     "ENCODE_NS_PER_PIXEL",
     "EVICTED",
     "EncodedFrame",
-    "FrameArena",
     "MIGRATED",
     "RELEASED",
     "FrameRef",

@@ -15,18 +15,32 @@ makes static scenes nearly free downstream. Deduped objects whose refcount
 hits zero are *retained* for a while (up to ``retain_limit`` entries) so the
 next identical capture still hits; retained entries are the first thing
 evicted under capacity pressure.
+
+Every retired ref id leaves a tombstone naming why it died (released,
+evicted, migrated), and ids come from a counter that never repeats, so a
+stale dereference raises a typed :class:`~repro.errors.StaleHandleError`
+instead of reading a recycled slot. The store also keeps the frame plane's
+own accounting: how many :class:`VideoFrame` slots were allocated and
+freed, the pixel bytes they hold, and stale accesses by retire reason.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from typing import Any, Callable
 
 from ..errors import FrameStoreError, StaleHandleError
-from .arena import EVICTED, RELEASED, ArenaHandle, FrameArena
 from .digest import content_digest
 from .frame import FrameRef, VideoFrame
+
+#: Retire reasons recorded per ref; a stale access reports the one that
+#: retired the ref it names.
+EVICTED = "evicted"
+MIGRATED = "migrated"
+RELEASED = "released"
+
+RETIRE_REASONS = (EVICTED, MIGRATED, RELEASED)
 
 #: How many retired refs keep a tombstone recording *why* they died, so a
 #: stale dereference reports use-after-evict vs use-after-migrate vs
@@ -80,13 +94,12 @@ class FrameStore:
         #: True while eviction hooks run; guards against hooks re-entering
         #: :meth:`put` mid-eviction (which would recurse into `_make_room`).
         self._evicting = False
-        #: The device's :class:`~repro.frames.arena.FrameArena`, or ``None``
-        #: when the shared-memory frame plane is off (see ``attach_arena``).
-        self.arena: FrameArena | None = None
-        #: ref_id -> arena handle for stored :class:`VideoFrame` planes.
-        self._handles: dict[int, ArenaHandle] = {}
-        #: live handle -> ref_id (reverse map; handles are frozen/hashable).
-        self._by_handle: dict[ArenaHandle, int] = {}
+        #: True when the device's frame plane is shared memory (set by
+        #: ``VideoPipe.enable_data_plane``): an intra-device hop then ships
+        #: a fixed-size handle instead of pricing the payload.
+        self.shared_memory = False
+        #: ref_id -> pixel bytes of each stored :class:`VideoFrame`.
+        self._frame_bytes: dict[int, int] = {}
         #: ref_id -> retire reason for recently deleted refs (bounded LRU);
         #: lets ``_check`` raise a typed StaleHandleError naming the cause.
         self._tombstones: OrderedDict[int, str] = OrderedDict()
@@ -102,6 +115,12 @@ class FrameStore:
         self.dedup_bytes_saved = 0
         self.retained_evictions = 0
         self.hook_evictions = 0
+        # frame-plane accounting: VideoFrame slots and stale accesses
+        self.frame_allocs = 0
+        self.frame_frees = 0
+        self.frame_bytes_in_use = 0
+        self.peak_frame_bytes = 0
+        self.stale_accesses: Counter[str] = Counter()
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -115,57 +134,6 @@ class FrameStore:
     def retained_count(self) -> int:
         """Zero-refcount objects kept as dedup targets."""
         return len(self._retained)
-
-    # -- shared-memory arena ---------------------------------------------------
-    def attach_arena(self, arena: FrameArena) -> None:
-        """Back this store's pixel planes with *arena*: every stored
-        :class:`VideoFrame` gets a generation-counted handle, and retired
-        refs raise :class:`~repro.errors.StaleHandleError` naming the
-        retire reason. Frames already stored are adopted in place."""
-        if arena.arena_id != self.device:
-            raise FrameStoreError(
-                f"arena {arena.arena_id!r} cannot back the store on"
-                f" {self.device!r} — the frame plane is device-local"
-            )
-        if self.arena is arena:
-            return
-        if self.arena is not None:
-            raise FrameStoreError(
-                f"store on {self.device!r} already has an arena attached"
-            )
-        self.arena = arena
-        for ref_id, obj in self._objects.items():
-            if isinstance(obj, VideoFrame) and ref_id not in self._handles:
-                handle = arena.alloc(obj.raw_size)
-                self._handles[ref_id] = handle
-                self._by_handle[handle] = ref_id
-
-    def handle_of(self, ref: FrameRef) -> ArenaHandle | None:
-        """The arena handle backing *ref*'s pixel plane (``None`` when no
-        arena is attached or the object is not a frame)."""
-        self._check(ref)
-        return self._handles.get(ref.ref_id)
-
-    def frame_by_handle(self, handle: ArenaHandle) -> Any:
-        """Resolve an arena handle straight to its frame, generation-checked.
-
-        This is the zero-copy path a co-located service replica uses: no
-        refcount traffic, no tree walk — just a generation check and a
-        dictionary hit. Stale handles raise
-        :class:`~repro.errors.StaleHandleError`."""
-        if self.arena is None:
-            raise FrameStoreError(
-                f"store on {self.device!r} has no arena attached"
-            )
-        self.arena.check(handle)
-        ref_id = self._by_handle.get(handle)
-        if ref_id is None:
-            raise StaleHandleError(
-                f"handle {handle} is live in the arena but unknown to the"
-                f" store on {self.device!r}", reason="unknown",
-            )
-        self.resolved_count += 1
-        return self._objects[ref_id]
 
     # -- core protocol -------------------------------------------------------
     def put(self, obj: Any) -> FrameRef:
@@ -204,10 +172,13 @@ class FrameStore:
         ref_id = next(self._ids)
         self._objects[ref_id] = obj
         self._refcounts[ref_id] = 1
-        if self.arena is not None and isinstance(obj, VideoFrame):
-            handle = self.arena.alloc(obj.raw_size)
-            self._handles[ref_id] = handle
-            self._by_handle[handle] = ref_id
+        if isinstance(obj, VideoFrame):
+            nbytes = obj.raw_size
+            self._frame_bytes[ref_id] = nbytes
+            self.frame_allocs += 1
+            self.frame_bytes_in_use += nbytes
+            if self.frame_bytes_in_use > self.peak_frame_bytes:
+                self.peak_frame_bytes = self.frame_bytes_in_use
         if digest is not None:
             self._digests[ref_id] = digest
             self._by_digest[digest] = ref_id
@@ -235,10 +206,11 @@ class FrameStore:
         """Drop one hold; the object is reclaimed when the count hits zero
         (or retained as a dedup target when dedup is on).
 
-        *reason* is the arena retire reason recorded if this release frees
-        the slot: :data:`~repro.frames.arena.RELEASED` for ordinary drops,
-        :data:`~repro.frames.arena.MIGRATED` when the frame is shipped to
-        another device (set by ``encode_refs_for_wire``)."""
+        *reason* is the retire reason recorded if this release frees the
+        slot: :data:`RELEASED` for ordinary drops, :data:`MIGRATED` when
+        the frame leaves the device with a migrating module."""
+        if reason not in RETIRE_REASONS:
+            raise FrameStoreError(f"unknown retire reason {reason!r}")
         self._check(ref)
         ref_id = ref.ref_id
         self._refcounts[ref_id] -= 1
@@ -355,11 +327,10 @@ class FrameStore:
         digest = self._digests.pop(ref_id, None)
         if digest is not None and self._by_digest.get(digest) == ref_id:
             del self._by_digest[digest]
-        handle = self._handles.pop(ref_id, None)
-        if handle is not None:
-            self._by_handle.pop(handle, None)
-            if self.arena is not None:
-                self.arena.free(handle, reason)
+        nbytes = self._frame_bytes.pop(ref_id, None)
+        if nbytes is not None:
+            self.frame_frees += 1
+            self.frame_bytes_in_use -= nbytes
         self._tombstones[ref_id] = reason
         while len(self._tombstones) > TOMBSTONE_LIMIT:
             self._tombstones.popitem(last=False)
@@ -373,6 +344,9 @@ class FrameStore:
         if ref.ref_id not in self._objects or ref.ref_id in self._retained:
             reason = self._tombstones.get(ref.ref_id)
             if reason is not None:
+                self.stale_accesses[reason] += 1
+                if self.auditor is not None:
+                    self.auditor.on_stale_access(self, ref, reason)
                 raise StaleHandleError(
                     f"stale reference {ref}: the frame was {reason} after"
                     " the last live handle was minted — use-after-"
@@ -380,6 +354,18 @@ class FrameStore:
                     reason=reason,
                 )
             raise FrameStoreError(f"unknown or already-released reference {ref}")
+
+    def frame_stats(self) -> dict[str, Any]:
+        """Frame-plane counters: :class:`VideoFrame` slots allocated and
+        freed, pixel bytes in use and at peak, stale accesses by reason."""
+        return {
+            "allocs": self.frame_allocs,
+            "frees": self.frame_frees,
+            "live": len(self._frame_bytes),
+            "bytes_in_use": self.frame_bytes_in_use,
+            "peak_bytes": self.peak_frame_bytes,
+            "stale_accesses": dict(self.stale_accesses),
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

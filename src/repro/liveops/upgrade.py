@@ -34,7 +34,12 @@ import re
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ConfigError
-from ..frames.payloads import add_refs, frame_ids_in, release_refs
+from ..frames.payloads import (
+    add_refs,
+    frame_ids_in,
+    release_refs,
+    settle_payload,
+)
 from ..metrics.collector import MetricsCollector
 from ..net.address import Address
 from ..runtime.events import DATA, ModuleEvent
@@ -436,15 +441,11 @@ class LiveOpsManager:
         upgrade.primary_deployed.mirror = None
         for dep in (upgrade.shadow_deployed, upgrade.sink_deployed):
             dep.runtime.undeploy(dep.name)
-            seen: set[int] = set()
             for event in dep.mailbox.drain():
-                release_refs(
-                    event.payload, dep.runtime.device.frame_store
+                settle_payload(
+                    event.payload, dep.runtime.device.frame_store,
+                    dep.ctx.metrics, dep.ctx.frame_dropped,
                 )
-                for frame_id in frame_ids_in(event.payload):
-                    if frame_id not in seen:
-                        seen.add(frame_id)
-                        dep.ctx.frame_dropped(frame_id)
 
     def _finish(
         self, upgrade: ModuleUpgrade, state: str, reason: str

@@ -106,18 +106,15 @@ class DataPlaneConfig:
     """Knobs for the zero-copy frame plane and pooled service parallelism.
 
     Applied home-wide via
-    :meth:`repro.core.videopipe.VideoPipe.enable_data_plane` (or its
-    focused cousins ``enable_arena`` / ``enable_replica_pool``). Both
-    default on: the arena makes intra-device hops cost a handle tuple, the
-    pool lets services on one device share worker slots instead of
-    statically partitioning them.
+    :meth:`repro.core.videopipe.VideoPipe.enable_data_plane`. Both default
+    on: the shared-memory frame plane makes intra-device hops cost a
+    handle tuple, the pool lets services on one device share worker slots
+    instead of statically partitioning them.
 
     Attributes:
-        arena: back every device frame store with a generation-counted
-            :class:`~repro.frames.arena.FrameArena`; stale handle access
-            raises :class:`~repro.errors.StaleHandleError`.
-        arena_capacity_bytes: optional per-device arena byte budget
-            (``None`` = unbounded; the store's slot capacity still binds).
+        arena: mark every device frame store as shared memory
+            (``FrameStore.shared_memory``), so an intra-device hop is
+            charged a fixed handle-sized message.
         replica_pool: replace fixed per-host replica counts with a shared
             per-device :class:`~repro.services.pool.ReplicaPool`.
         pool_slots: physical slots per device pool (``None`` = one per
@@ -125,14 +122,10 @@ class DataPlaneConfig:
     """
 
     arena: bool = True
-    arena_capacity_bytes: int | None = None
     replica_pool: bool = True
     pool_slots: int | None = None
 
     def __post_init__(self) -> None:
-        if (self.arena_capacity_bytes is not None
-                and self.arena_capacity_bytes < 1):
-            raise ConfigError("arena_capacity_bytes must be >= 1")
         if self.pool_slots is not None and self.pool_slots < 1:
             raise ConfigError("pool_slots must be >= 1")
 

@@ -13,8 +13,8 @@ from typing import TYPE_CHECKING
 
 from ..devices.device import Device
 from ..errors import DeploymentError
-from ..frames.arena import MIGRATED
-from ..frames.payloads import frame_ids_in, release_refs
+from ..frames.framestore import MIGRATED
+from ..frames.payloads import settle_payload
 from ..metrics.collector import MetricsCollector
 from ..net.address import Address, parse_endpoint
 from ..net.transport import Transport
@@ -122,16 +122,10 @@ class Deployer:
                     shutdown(dep.ctx)
                 dep.runtime.undeploy(name)
                 for event in dep.mailbox.drain():
-                    release_refs(
-                        event.payload, dep.runtime.device.frame_store
+                    settle_payload(
+                        event.payload, dep.runtime.device.frame_store,
+                        dep.ctx.metrics, dep.ctx.frame_dropped,
                     )
-                    # each event copy owns its refs, but a frame fanned out
-                    # to several mailboxes may only be *dropped* once — the
-                    # in-flight guard makes drop accounting idempotent
-                    # across modules and drain sites
-                    for frame_id in frame_ids_in(event.payload):
-                        if dep.ctx.metrics.frame_in_flight(frame_id):
-                            dep.ctx.frame_dropped(frame_id)
             raise
         for module_cfg in config.modules:
             wiring.metrics.increment(
@@ -178,24 +172,18 @@ class Deployer:
         old_runtime = old_deployed.runtime
         old_runtime.undeploy(module_name)
         dropped = old_deployed.mailbox.drain()
+        ctx = old_deployed.ctx
         for event in dropped:
-            # the frames are leaving this device: retire their arena slots
-            # as MIGRATED so a stale handle reports use-after-migrate
-            release_refs(
+            # the frames are leaving this device: retire their refs as
+            # MIGRATED so a ref kept across the move reports
+            # use-after-migrate. A fan-in mailbox can hold several events
+            # for the same frame, which may also still reach the sink
+            # through a surviving sibling branch: each event releases its
+            # own refs, the frame is dropped once
+            settle_payload(
                 event.payload, old_runtime.device.frame_store,
-                reason=MIGRATED,
+                ctx.metrics, ctx.frame_dropped, reason=MIGRATED,
             )
-            # frame ids may be nested (batched/enveloped payloads) — walk
-            # the payload like release_refs does, or each missed frame
-            # leaks a frames_in_flight slot forever. A fan-in module's
-            # mailbox can hold several events for the *same* frame (one
-            # per upstream producer), and the frame may also still reach
-            # the sink through a surviving sibling branch — so each event
-            # releases its own refs, but the drop is only recorded while
-            # the frame is still in flight (first settlement wins)
-            for frame_id in frame_ids_in(event.payload):
-                if old_deployed.ctx.metrics.frame_in_flight(frame_id):
-                    old_deployed.ctx.frame_dropped(frame_id)
         if dropped:
             pipeline.metrics.increment("migration_dropped_events", len(dropped))
 

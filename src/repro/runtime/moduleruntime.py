@@ -20,8 +20,7 @@ from ..errors import DeploymentError
 from ..frames.payloads import (
     decode_frames_from_wire,
     encode_refs_for_wire,
-    frame_ids_in,
-    release_refs,
+    settle_payload,
 )
 from ..net.address import Address
 from ..net.message import H_TRACE, KIND_SIGNAL, Message
@@ -136,21 +135,12 @@ class ModuleRuntime:
         leak, and the frames they carried are accounted as dropped (pruning
         their in-flight metrics entries and closing their traces). Returns
         the number of events dropped."""
-        from ..frames.payloads import release_refs
-
         dropped = 0
         for deployed in self._deployed.values():
+            ctx = deployed.ctx
             for event in deployed.mailbox.drain():
-                release_refs(event.payload, self.device.frame_store)
-                # frame ids may sit below the top level (batched/enveloped
-                # payloads) — walk like release_refs walks, or the metrics
-                # in-flight table leaks one slot per nested frame. A frame
-                # fanned out to several of this device's modules appears in
-                # several mailboxes; the in-flight guard keeps its drop
-                # accounting idempotent across them (first drain wins)
-                for frame_id in frame_ids_in(event.payload):
-                    if deployed.ctx.metrics.frame_in_flight(frame_id):
-                        deployed.ctx.frame_dropped(frame_id)
+                settle_payload(event.payload, self.device.frame_store,
+                               ctx.metrics, ctx.frame_dropped)
                 dropped += 1
         return dropped
 
@@ -249,25 +239,24 @@ class ModuleRuntime:
         payload: Any,
         release_local_refs: bool,
     ) -> None:
-        if release_local_refs:
-            release_refs(payload, self.device.frame_store)
         wiring.metrics.increment("dead_letters")
-        for frame_id in frame_ids_in(payload):
-            # a sibling fan-out copy (or an earlier drain) may already have
-            # settled this frame — only the first settlement counts
-            if not wiring.metrics.frame_in_flight(frame_id):
-                continue
-            source = self._deployed.get(source_module)
-            if source is not None:
-                source.ctx.frame_dropped(frame_id)
-            else:
-                # the sender itself was undeployed meanwhile (its handler
-                # outlived the migration); account on the shared collector
+        source = self._deployed.get(source_module)
+        if source is not None:
+            drop = source.ctx.frame_dropped
+        else:
+            # the sender itself was undeployed meanwhile (its handler
+            # outlived the migration); account on the shared collector
+            def drop(frame_id: int) -> None:
                 wiring.metrics.frame_dropped(frame_id, self.kernel.now)
+        settle_payload(
+            payload,
+            self.device.frame_store if release_local_refs else None,
+            wiring.metrics, drop,
+        )
 
-    #: Charged bytes for one intra-device hop through the arena frame
-    #: plane: the envelope plus one ``(arena_id, offset, generation)``
-    #: handle tuple. The payload itself lives in shared memory.
+    #: Charged bytes for one intra-device hop through a shared-memory
+    #: frame plane: the envelope plus one 24-byte handle tuple. The
+    #: payload itself lives in shared memory.
     ARENA_HOP_BYTES = ENVELOPE_OVERHEAD + 24
 
     def _build_message(
@@ -285,12 +274,12 @@ class ModuleRuntime:
         # metadata stays outside the charged envelope (message.size_bytes is
         # fixed in __post_init__), so tracing cannot change wire timing
         trace = headers.pop(H_TRACE, None)
-        # with the arena frame plane on, an intra-device hop ships only a
-        # handle tuple over shared memory: zero charged payload bytes, and
-        # no per-hop payload-size tree walk at all
+        # with a shared-memory frame plane, an intra-device hop ships only
+        # a handle tuple: zero charged payload bytes, and no per-hop
+        # payload-size tree walk at all
         size = (
             self.ARENA_HOP_BYTES
-            if local and self.device.arena is not None else 0
+            if local and self.device.frame_store.shared_memory else 0
         )
         message = Message(
             kind=wire_kind,
@@ -354,16 +343,10 @@ class ModuleRuntime:
                 # undeployed while this get was in flight: the event already
                 # left the mailbox (the migration drain missed it), so its
                 # frame leaves the pipeline here
-                payload = event.payload
-                release_refs(payload, self.device.frame_store)
-                dead_ids = frame_ids_in(payload)
-                if dead_ids:
-                    deployed.ctx.metrics.increment("dead_letters")
-                    for frame_id in dead_ids:
-                        # the migration drain (or a fan-out sibling) may
-                        # have settled this frame already
-                        if deployed.ctx.metrics.frame_in_flight(frame_id):
-                            deployed.ctx.frame_dropped(frame_id)
+                ctx = deployed.ctx
+                if settle_payload(event.payload, self.device.frame_store,
+                                  ctx.metrics, ctx.frame_dropped):
+                    ctx.metrics.increment("dead_letters")
                 break
             # land any encoded frames into the local store (decode cost)
             payload, decode_cost, _ = decode_frames_from_wire(

@@ -1,4 +1,4 @@
-"""Arena handle conservation: the auditor's mirror of the frame plane.
+"""Frame-plane laws under the auditor: stale accesses and retained frames.
 
 Every auditor here is explicitly constructed, so the ``REPRO_AUDIT``
 pytest gate ignores the intentional violations these tests provoke.
@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from repro.audit import InvariantAuditor
-from repro.errors import StaleHandleError
-from repro.frames import EVICTED, FrameArena, FrameStore, VideoFrame
+from repro.errors import AuditError, StaleHandleError
+from repro.frames import EVICTED, FrameStore, VideoFrame
+from repro.pipeline import AuditConfig
 from repro.sim.kernel import Kernel
 
 
@@ -29,88 +30,65 @@ def auditor(kernel):
     return InvariantAuditor(kernel)
 
 
+def evicted_ref(store):
+    """Store a frame, retain it as a dedup target, then evict it."""
+    first = store.put(make_frame(fill=1))
+    store.release(first)
+    second = store.put(make_frame(fill=2))
+    store.release(second)  # retention overflow evicts the first frame
+    return first
+
+
 class TestArenaConservation:
     def test_clean_lifecycle_stays_clean(self, auditor):
-        arena = FrameArena("phone")
-        auditor.watch_arena(arena)
-        handle = arena.alloc(1024)
-        arena.free(handle)
+        store = FrameStore("phone")
+        auditor.watch_store(store)
+        ref = store.put(make_frame())
+        store.release(ref)
         assert auditor.check_now() == []
         assert auditor.check_quiesce() == []
 
     def test_stale_access_trips_the_auditor(self, auditor):
-        arena = FrameArena("phone")
-        auditor.watch_arena(arena)
-        handle = arena.alloc(64)
-        arena.free(handle, reason=EVICTED)
+        store = FrameStore("phone")
+        auditor.watch_store(store)
+        ref = store.put(make_frame())
+        store.release(ref, reason=EVICTED)
         with pytest.raises(StaleHandleError):
-            arena.check(handle)
+            store.get(ref)
         assert auditor.violation_count == 1
         violation = auditor.violations[0]
-        assert violation.invariant == "arena-stale-access"
-        assert violation.subject == "arena/phone"
+        assert violation.invariant == "stale-access"
+        assert violation.subject == "framestore/phone"
         assert "evicted" in violation.detail
-
-    def test_skipped_alloc_notification_flags_mirror_divergence(self, auditor):
-        arena = FrameArena("phone")
-        auditor.watch_arena(arena)
-        arena.auditor = None  # a buggy alloc path that skips its report
-        arena.alloc(64)
-        arena.auditor = auditor
-        violations = auditor.check_now()
-        assert any(v.invariant == "arena-conservation" for v in violations)
 
     def test_use_after_evict_through_the_store_is_attributed(self, auditor):
         store = FrameStore("phone", dedup=True, retain_limit=1)
-        arena = FrameArena("phone")
-        store.attach_arena(arena)
         auditor.watch_store(store)
-        auditor.watch_arena(arena)
-        first = store.put(make_frame(fill=1))
-        first_handle = store.handle_of(first)
-        store.release(first)
-        second = store.put(make_frame(fill=2))
-        store.release(second)  # retention overflow evicts the first frame
+        first = evicted_ref(store)
         with pytest.raises(StaleHandleError) as exc:
-            store.frame_by_handle(first_handle)
+            store.refcount(first)
         assert exc.value.reason == EVICTED
         assert any(
-            v.invariant == "arena-stale-access" for v in auditor.violations
-        )
-
-    def test_mid_run_watch_mirrors_existing_slots(self, auditor):
-        arena = FrameArena("phone")
-        keep = arena.alloc(64)
-        auditor.watch_arena(arena)
-        assert auditor.check_now() == []
-        arena.free(keep)
-        assert auditor.check_quiesce() == []
-
-    def test_quiesce_flags_orphaned_slots(self, auditor):
-        store = FrameStore("phone")
-        arena = FrameArena("phone")
-        store.attach_arena(arena)
-        auditor.watch_store(store)
-        auditor.watch_arena(arena)
-        ref = store.put(make_frame())
-        # simulate a buggy delete that forgets the arena: the store entry
-        # dies but the slot stays live
-        handle = store._handles.pop(ref.ref_id)
-        store._by_handle.pop(handle)
-        store.release(ref)
-        violations = auditor.check_quiesce()
-        assert any(
-            v.invariant == "arena-conservation" and "orphan" in v.detail
-            for v in violations
+            v.invariant == "stale-access" for v in auditor.violations
         )
 
     def test_quiesce_allows_retained_dedup_targets(self, auditor):
         store = FrameStore("phone", dedup=True, retain_limit=4)
-        arena = FrameArena("phone")
-        store.attach_arena(arena)
         auditor.watch_store(store)
-        auditor.watch_arena(arena)
         ref = store.put(make_frame())
         store.release(ref)  # zero refcount, retained as a dedup target
-        assert arena.live_count == 1  # the slot legitimately stays
+        assert store.frame_stats()["live"] == 1  # the slot legitimately stays
         assert auditor.check_quiesce() == []
+
+
+class TestStrictStaleAccess:
+    def test_strict_auditor_raises_on_stale_dereference(self, kernel):
+        """Every stale dereference of a watched store is a violation: a
+        strict auditor turns it into an AuditError at the access itself."""
+        auditor = InvariantAuditor(kernel, AuditConfig(strict=True))
+        store = FrameStore("phone", dedup=True, retain_limit=1)
+        auditor.watch_store(store)
+        first = evicted_ref(store)
+        with pytest.raises(AuditError, match="stale-access on framestore/phone"):
+            store.get(first)
+        assert store.stale_accesses == {EVICTED: 1}

@@ -13,6 +13,8 @@ import pytest
 from repro.audit import InvariantAuditor
 from repro.core import VideoPipe
 from repro.devices import Device, desktop, flagship_phone_2018
+from repro.errors import StaleHandleError
+from repro.frames import FrameStore
 from repro.metrics.collector import MetricsCollector
 from repro.net import BrokerlessTransport, LinkSpec, Topology
 from repro.net.address import Address
@@ -226,3 +228,34 @@ class TestCollectorLeak:
         violations = auditor.check_now()
         assert violations, "the in-flight leak went unnoticed"
         assert "not pruning" in violations[0].detail
+
+
+class HooklessStore(FrameStore):
+    """The stale-access hook removed: ``_check`` still raises a typed
+    StaleHandleError but never tells the auditor."""
+
+    def _check(self, ref):
+        auditor, self.auditor = self.auditor, None
+        try:
+            super()._check(ref)
+        finally:
+            self.auditor = auditor
+
+
+def _stale_access_violations(store_cls):
+    auditor = InvariantAuditor(Kernel())
+    store = store_cls("phone")
+    auditor.watch_store(store)
+    ref = store.put(b"pixels")
+    store.release(ref)
+    with pytest.raises(StaleHandleError):
+        store.get(ref)
+    return [v.invariant for v in auditor.violations]
+
+
+class TestStaleAccessHook:
+    def test_removing_the_hook_hides_the_use_after_free(self):
+        """The same use-after-free is a ``stale-access`` violation on the
+        real store and goes unrecorded once the hook is removed."""
+        assert _stale_access_violations(FrameStore) == ["stale-access"]
+        assert _stale_access_violations(HooklessStore) == []

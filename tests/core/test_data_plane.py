@@ -1,4 +1,5 @@
-"""The enable_data_plane facade: arenas and pools, current and future."""
+"""The enable_data_plane facade: shared-memory stores and pools, current
+and future."""
 
 import pytest
 
@@ -20,8 +21,6 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            DataPlaneConfig(arena_capacity_bytes=0)
-        with pytest.raises(ConfigError):
             DataPlaneConfig(pool_slots=0)
 
 
@@ -30,10 +29,10 @@ class TestFacade:
         home = VideoPipe.paper_testbed(seed=1)
         home.enable_data_plane()
         for device in home.devices.values():
-            assert device.arena is not None
+            assert device.frame_store.shared_memory
             assert device.replica_pool is not None
         late = home.add_device("laptop")
-        assert late.arena is not None
+        assert late.frame_store.shared_memory
         assert late.replica_pool is not None
 
     def test_future_hosts_join_the_device_pool(self):
@@ -55,28 +54,28 @@ class TestFacade:
 
     def test_halves_compose(self):
         home = VideoPipe.paper_testbed(seed=1)
-        home.enable_arena()
-        assert home.device("desktop").arena is not None
+        home.enable_data_plane(DataPlaneConfig(replica_pool=False))
+        assert home.device("desktop").frame_store.shared_memory
         assert home.device("desktop").replica_pool is None
-        home.enable_replica_pool()
-        assert home.device("desktop").arena is not None  # arena kept
+        home.enable_data_plane(DataPlaneConfig())
+        assert home.device("desktop").frame_store.shared_memory
         assert home.device("desktop").replica_pool is not None
 
     def test_all_off_config_is_a_noop(self):
         home = VideoPipe.paper_testbed(seed=1)
         home.enable_data_plane(DataPlaneConfig(arena=False, replica_pool=False))
-        assert home.device("desktop").arena is None
+        assert not home.device("desktop").frame_store.shared_memory
         assert home.device("desktop").replica_pool is None
 
     def test_audit_watches_arenas_both_orders(self):
         first = VideoPipe.paper_testbed(seed=1)
         first.enable_audit()
         first.enable_data_plane()
-        assert first.device("desktop").arena.auditor is first.auditor
+        assert first.device("desktop").frame_store.auditor is first.auditor
         second = VideoPipe.paper_testbed(seed=1)
         second.enable_data_plane()
         second.enable_audit()
-        assert second.device("desktop").arena.auditor is second.auditor
+        assert second.device("desktop").frame_store.auditor is second.auditor
 
     def test_stats_aggregate_across_devices(self):
         home = VideoPipe.paper_testbed(seed=1)

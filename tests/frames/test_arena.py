@@ -1,4 +1,9 @@
-"""The shared-memory frame plane: arenas, handles, and stale detection."""
+"""The frame plane's accounting on the store: VideoFrame slots, pixel
+bytes and stale accesses (what ``data_plane_stats()["arena"]`` reports).
+
+The stale-reference laws themselves (use-after-release, -migrate, -evict,
+double release) live in ``tests/frames/test_framestore.py``.
+"""
 
 import numpy as np
 import pytest
@@ -8,8 +13,6 @@ from repro.frames import (
     EVICTED,
     MIGRATED,
     RELEASED,
-    ArenaHandle,
-    FrameArena,
     FrameStore,
     VideoFrame,
 )
@@ -23,153 +26,69 @@ def make_frame(frame_id=1, t=0.0, fill=7):
 
 class TestArenaCore:
     def test_alloc_free_roundtrip(self):
-        arena = FrameArena("phone")
-        handle = arena.alloc(1024)
-        assert arena.is_live(handle)
-        assert arena.live_count == 1
-        assert arena.bytes_in_use == 1024
-        arena.free(handle)
-        assert not arena.is_live(handle)
-        assert arena.live_count == 0
-        assert arena.bytes_in_use == 0
-
-    def test_handles_cost_zero_wire_bytes(self):
-        handle = FrameArena("phone").alloc(640 * 480 * 3)
-        assert handle.wire_size == 0
-
-    def test_generation_bumps_on_free_not_realloc(self):
-        arena = FrameArena("phone")
-        first = arena.alloc(64)
-        arena.free(first)
-        # stale even before the slot is recycled
-        with pytest.raises(StaleHandleError):
-            arena.check(first)
-        second = arena.alloc(64)
-        assert second.offset == first.offset  # slot reused
-        assert second.generation > first.generation
+        store = FrameStore("phone")
+        nbytes = make_frame().raw_size
+        ref = store.put(make_frame())
+        assert store.frame_stats() == {
+            "allocs": 1, "frees": 0, "live": 1, "bytes_in_use": nbytes,
+            "peak_bytes": nbytes, "stale_accesses": {},
+        }
+        store.release(ref)
+        assert store.frame_stats() == {
+            "allocs": 1, "frees": 1, "live": 0, "bytes_in_use": 0,
+            "peak_bytes": nbytes, "stale_accesses": {},
+        }
 
     def test_stale_handle_names_retire_reason(self):
-        arena = FrameArena("phone")
+        store = FrameStore("phone")
         for reason in (EVICTED, MIGRATED, RELEASED):
-            handle = arena.alloc(32)
-            arena.free(handle, reason=reason)
+            ref = store.put(make_frame())
+            store.release(ref, reason=reason)
             with pytest.raises(StaleHandleError) as exc:
-                arena.check(handle)
+                store.get(ref)
             assert exc.value.reason == reason
-        assert sum(arena.stale_accesses.values()) == 3
+        assert store.frame_stats()["stale_accesses"] == {
+            EVICTED: 1, MIGRATED: 1, RELEASED: 1,
+        }
 
     def test_double_free_raises_stale(self):
-        arena = FrameArena("phone")
-        handle = arena.alloc(32)
-        arena.free(handle)
+        store = FrameStore("phone")
+        ref = store.put(make_frame())
+        store.release(ref)
         with pytest.raises(StaleHandleError) as exc:
-            arena.free(handle)
+            store.release(ref)
         assert exc.value.reason == RELEASED
-        assert arena.frees == 1  # the second free never counted
+        assert store.frame_frees == 1  # the second release never counted
 
     def test_stale_handle_error_is_a_frame_store_error(self):
         # callers catching the store's generic error keep working
         assert issubclass(StaleHandleError, FrameStoreError)
 
-    def test_cross_arena_handles_rejected(self):
-        phone = FrameArena("phone")
-        desktop = FrameArena("desktop")
-        handle = phone.alloc(32)
-        with pytest.raises(FrameStoreError, match="never cross devices"):
-            desktop.check(handle)
-
-    def test_byte_budget_enforced(self):
-        arena = FrameArena("phone", capacity_bytes=100)
-        arena.alloc(60)
-        with pytest.raises(FrameStoreError, match="over byte budget"):
-            arena.alloc(60)
-
     def test_unknown_retire_reason_rejected(self):
-        arena = FrameArena("phone")
-        handle = arena.alloc(32)
+        store = FrameStore("phone")
+        ref = store.put(make_frame())
         with pytest.raises(FrameStoreError, match="retire reason"):
-            arena.free(handle, reason="misplaced")
+            store.release(ref, reason="misplaced")
+        assert store.refcount(ref) == 1  # the bad release changed nothing
 
 
 class TestStoreArenaIntegration:
-    def store(self, **kwargs):
-        store = FrameStore("phone", **kwargs)
-        store.attach_arena(FrameArena("phone"))
-        return store
+    def test_stored_frames_are_counted(self):
+        store = FrameStore("phone")
+        store.put(make_frame(frame_id=1))
+        store.put(make_frame(frame_id=2, fill=9))
+        assert store.frame_allocs == 2
+        assert store.frame_bytes_in_use == 2 * make_frame().raw_size
 
-    def test_stored_frames_get_handles(self):
-        store = self.store()
-        ref = store.put(make_frame())
-        handle = store.handle_of(ref)
-        assert isinstance(handle, ArenaHandle)
-        assert handle.nbytes == make_frame().raw_size
-        assert store.frame_by_handle(handle).frame_id == 1
-
-    def test_non_frames_get_no_handle(self):
-        store = self.store()
+    def test_non_frames_are_not_counted(self):
+        store = FrameStore("phone")
         ref = store.put({"not": "a frame"})
-        assert store.handle_of(ref) is None
-
-    def test_use_after_release_raises_stale(self):
-        store = self.store()
-        ref = store.put(make_frame())
-        handle = store.handle_of(ref)
         store.release(ref)
-        with pytest.raises(StaleHandleError) as exc:
-            store.frame_by_handle(handle)
-        assert exc.value.reason == RELEASED
-        with pytest.raises(StaleHandleError) as exc:
-            store.get(ref)
-        assert exc.value.reason == RELEASED
-
-    def test_use_after_migrate_raises_stale(self):
-        store = self.store()
-        ref = store.put(make_frame())
-        handle = store.handle_of(ref)
-        store.release(ref, reason=MIGRATED)
-        with pytest.raises(StaleHandleError) as exc:
-            store.frame_by_handle(handle)
-        assert exc.value.reason == MIGRATED
-
-    def test_use_after_evict_raises_stale(self):
-        store = FrameStore("phone", dedup=True, retain_limit=1)
-        store.attach_arena(FrameArena("phone"))
-        first = store.put(make_frame(fill=1))
-        first_handle = store.handle_of(first)
-        store.release(first)  # retained as a dedup target
-        second = store.put(make_frame(fill=2))
-        store.release(second)  # retention overflow evicts the oldest
-        with pytest.raises(StaleHandleError) as exc:
-            store.frame_by_handle(first_handle)
-        assert exc.value.reason == EVICTED
-
-    def test_double_release_raises_stale(self):
-        store = self.store()
-        ref = store.put(make_frame())
-        store.release(ref)
-        with pytest.raises(StaleHandleError):
-            store.release(ref)
-
-    def test_attach_adopts_existing_frames(self):
-        store = FrameStore("phone")
-        ref = store.put(make_frame())
-        arena = FrameArena("phone")
-        store.attach_arena(arena)
-        assert arena.live_count == 1
-        assert store.handle_of(ref) is not None
-
-    def test_attach_rejects_wrong_device_and_second_arena(self):
-        store = FrameStore("phone")
-        with pytest.raises(FrameStoreError, match="device-local"):
-            store.attach_arena(FrameArena("desktop"))
-        store.attach_arena(FrameArena("phone"))
-        with pytest.raises(FrameStoreError, match="already has an arena"):
-            store.attach_arena(FrameArena("phone"))
+        assert store.frame_stats()["allocs"] == 0
+        assert store.frame_stats()["frees"] == 0
 
     def test_dedup_hit_allocates_no_new_slot(self):
         store = FrameStore("phone", dedup=True)
-        arena = FrameArena("phone")
-        store.attach_arena(arena)
         store.put(make_frame(frame_id=1))
         store.put(make_frame(frame_id=2))  # byte-identical -> same slot
-        assert arena.allocs == 1
+        assert store.frame_allocs == 1

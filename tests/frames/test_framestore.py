@@ -1,11 +1,72 @@
 """Unit and property tests for the frame store."""
 
 import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FrameStoreError
-from repro.frames import FrameRef, FrameStore
+from repro.errors import FrameStoreError, StaleHandleError
+from repro.frames import (
+    EVICTED,
+    MIGRATED,
+    RELEASED,
+    FrameRef,
+    FrameStore,
+    VideoFrame,
+)
+
+
+def make_frame(fill=7):
+    pixels = np.full((24, 32, 3), fill, dtype=np.uint8)
+    return VideoFrame(frame_id=1, source="cam", capture_time=0.0,
+                      width=32, height=24, pixels=pixels)
+
+
+def retire_released():
+    store = FrameStore("phone")
+    ref = store.put(make_frame())
+    store.release(ref)
+    return store, ref, store.get
+
+
+def retire_migrated():
+    store = FrameStore("phone")
+    ref = store.put(make_frame())
+    store.release(ref, reason=MIGRATED)
+    return store, ref, store.get
+
+
+def retire_evicted():
+    store = FrameStore("phone", dedup=True, retain_limit=1)
+    ref = store.put(make_frame(fill=1))
+    store.release(ref)  # retained as a dedup target
+    store.release(store.put(make_frame(fill=2)))  # overflow evicts the first
+    return store, ref, store.get
+
+
+def retire_then_release_again():
+    store = FrameStore("phone")
+    ref = store.put(make_frame())
+    store.release(ref)
+    return store, ref, store.release
+
+
+class TestStaleRefs:
+    @pytest.mark.parametrize("retire, reason", [
+        pytest.param(retire_released, RELEASED, id="use-after-release"),
+        pytest.param(retire_migrated, MIGRATED, id="use-after-migrate"),
+        pytest.param(retire_evicted, EVICTED, id="use-after-evict"),
+        pytest.param(retire_then_release_again, RELEASED,
+                     id="double-release"),
+    ])
+    def test_stale_ref_names_retire_reason(self, retire, reason):
+        """A retired ref raises a typed StaleHandleError naming why it
+        died, and the store counts the stale access under that reason."""
+        store, ref, access = retire()
+        with pytest.raises(StaleHandleError) as exc:
+            access(ref)
+        assert exc.value.reason == reason
+        assert store.stale_accesses == {reason: 1}
 
 
 class TestFrameStore:

@@ -119,7 +119,7 @@ class TestMigrateDrainWalksNestedPayloads:
     def test_flat_drain_mutation_trips_auditor(self, monkeypatch):
         """Re-introduce the bug: drain only top-level ``frame_id`` keys.
         The metrics-conservation law flags the leak immediately."""
-        import repro.pipeline.deployer as deployer_mod
+        import repro.frames.payloads as payloads_mod
 
         # this test *plants* a violation; keep the auditor explicit so the
         # REPRO_AUDIT sweep doesn't fail for finding exactly that
@@ -132,7 +132,7 @@ class TestMigrateDrainWalksNestedPayloads:
                 return [payload["frame_id"]]
             return []
 
-        monkeypatch.setattr(deployer_mod, "frame_ids_in", flat_only)
+        monkeypatch.setattr(payloads_mod, "frame_ids_in", flat_only)
         home = VideoPipe.paper_testbed(seed=0)
         home.deploy_service(FunctionService("echo", lambda p, c: p,
                                             default_port=7300), "desktop")

@@ -1,6 +1,6 @@
-"""Migrate × arena interaction: draining a module whose queued frames hold
-arena-backed pixel planes must retire the slots as MIGRATED, and any
-post-migrate access through a kept handle is a typed StaleHandleError."""
+"""Migrate × frame plane: draining a module whose queued frames sit in a
+shared-memory store must retire their refs as MIGRATED, and any
+post-migrate access through a kept ref is a typed StaleHandleError."""
 
 import numpy as np
 import pytest
@@ -46,16 +46,15 @@ def make_frame(frame_id):
 
 
 def queue_arena_frame(pipeline, module_name, frame_id):
-    """Park an arena-backed frame in the module's mailbox and return the
-    (ref, handle) pair the migration drain must retire."""
+    """Park a frame in the module's mailbox and return the ref the
+    migration drain must retire."""
     ctx = pipeline.module(module_name).ctx
     ref = ctx.store_frame(make_frame(frame_id))
     ctx.frame_entered(frame_id)
     pipeline.module(module_name).mailbox.put(ModuleEvent(
         kind=DATA, payload={"frame_id": frame_id, "ref": ref},
     ))
-    store = ctx._runtime.device.frame_store
-    return ref, store.handle_of(ref)
+    return ref
 
 
 class TestMigrateRetiresArenaSlots:
@@ -66,20 +65,21 @@ class TestMigrateRetiresArenaSlots:
         home.enable_data_plane()
         pipeline = home.deploy_pipeline(two_stage_config(),
                                         default_device="phone")
-        ref, handle = queue_arena_frame(pipeline, "consumer", 801)
-        assert handle is not None
-        arena = home.device("phone").frame_store.arena
+        ref = queue_arena_frame(pipeline, "consumer", 801)
+        store = home.device("phone").frame_store
+        assert store.frame_stats()["live"] == 1
 
         home.migrate_module(pipeline, "consumer", "desktop")
 
-        assert arena._retired_reason[handle.offset] == MIGRATED
-        assert arena._retired_reason[handle.offset] != RELEASED
+        assert store._tombstones[ref.ref_id] == MIGRATED
+        assert store._tombstones[ref.ref_id] != RELEASED
+        assert store.frame_stats()["live"] == 0
         assert pipeline.metrics.frames_in_flight == 0
         assert pipeline.metrics.counter("frames_dropped") == 1
         assert home.check_invariants() == []
 
     def test_post_migrate_access_raises_typed_stale(self, monkeypatch):
-        """The kept handle is poison after the move — and the explicit
+        """The kept ref is poison after the move — and the explicit
         auditor attributes the access. (This test *provokes* a stale
         access, so it opts out of the env auditor sweep.)"""
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
@@ -90,17 +90,17 @@ class TestMigrateRetiresArenaSlots:
                                         default_device="phone")
         store = home.device("phone").frame_store
         auditor.watch_store(store)
-        auditor.watch_arena(store.arena)
-        ref, handle = queue_arena_frame(pipeline, "consumer", 802)
+        ref = queue_arena_frame(pipeline, "consumer", 802)
 
         home.migrate_module(pipeline, "consumer", "desktop")
 
         with pytest.raises(StaleHandleError) as exc:
-            store.frame_by_handle(handle)
-        assert exc.value.reason == MIGRATED
-        with pytest.raises(StaleHandleError) as exc:
             store.get(ref)
         assert exc.value.reason == MIGRATED
-        assert any(v.invariant == "arena-stale-access"
+        with pytest.raises(StaleHandleError) as exc:
+            store.refcount(ref)
+        assert exc.value.reason == MIGRATED
+        assert store.stale_accesses == {MIGRATED: 2}
+        assert any(v.invariant == "stale-access"
                    and "migrated" in v.detail
                    for v in auditor.violations), auditor.report()

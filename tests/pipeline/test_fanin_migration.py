@@ -176,7 +176,7 @@ class TestFanInDrainMutation:
         per-*frame* instead of per-*event*, releasing refs only for the
         first event that mentions a frame. The second fan-in event's hold
         leaks, and frame-ref conservation flags it at quiesce."""
-        import repro.pipeline.deployer as deployer_mod
+        import repro.frames.payloads as payloads_mod
 
         # this test *plants* a violation; drop REPRO_AUDIT *before*
         # building the home (the env auditor attaches at construction) and
@@ -185,11 +185,11 @@ class TestFanInDrainMutation:
         monkeypatch.delenv("REPRO_AUDIT", raising=False)
         home = VideoPipe.paper_testbed(seed=0)
 
-        real_release_refs = deployer_mod.release_refs
+        real_release_refs = payloads_mod.release_refs
         seen_frames: set[int] = set()
 
         def release_once_per_frame(payload, store, reason=None):
-            frame_ids = deployer_mod.frame_ids_in(payload)
+            frame_ids = payloads_mod.frame_ids_in(payload)
             if frame_ids and all(fid in seen_frames for fid in frame_ids):
                 return 0  # the buggy dedup: this event's holds never drop
             seen_frames.update(frame_ids)
@@ -197,7 +197,7 @@ class TestFanInDrainMutation:
                 return real_release_refs(payload, store)
             return real_release_refs(payload, store, reason=reason)
 
-        monkeypatch.setattr(deployer_mod, "release_refs",
+        monkeypatch.setattr(payloads_mod, "release_refs",
                             release_once_per_frame)
         auditor = InvariantAuditor(home.kernel)
         pipeline = home.deploy_pipeline(fanin_config(),
