@@ -37,11 +37,15 @@ class Topology:
         self._partitioned: set[str] = set()
         #: Metered WAN uplinks, keyed by the cloud device behind each.
         self._wan_links: dict[str, Link] = {}
+        #: Routes found by :meth:`path_links`, keyed by ``(src, dst)``;
+        #: every change to the graph or to a partition clears it.
+        self._routes: dict[tuple[str, str], tuple[Link, ...]] = {}
 
     # -- construction --------------------------------------------------------
     def add_device(self, name: str) -> None:
         """Register a device node (idempotent)."""
         self.graph.add_node(name, kind="device")
+        self._routes.clear()
 
     def add_wifi(self, name: str = "wifi", spec: LinkSpec | None = None) -> None:
         """Create a Wi-Fi access point with a single shared airtime medium."""
@@ -49,6 +53,7 @@ class Topology:
             raise NetworkError(f"wifi network {name!r} already exists")
         self.graph.add_node(name, kind="ap", spec=spec or LinkSpec())
         self._shared_media[name] = Resource(self.kernel, 1, f"{name}.medium")
+        self._routes.clear()
 
     def attach(self, device: str, ap: str, spec: LinkSpec | None = None) -> None:
         """Attach *device* to access point *ap*, sharing the AP's medium."""
@@ -65,6 +70,7 @@ class Topology:
             medium=medium,
         )
         self.graph.add_edge(device, ap, link=link)
+        self._routes.clear()
 
     def add_cloud(
         self,
@@ -100,6 +106,7 @@ class Topology:
         )
         self.graph.add_edge(ap, name, link=link)
         self._wan_links[name] = link
+        self._routes.clear()
         return link
 
     def is_cloud(self, name: str) -> bool:
@@ -126,6 +133,7 @@ class Topology:
             name=f"{a}<->{b}",
         )
         self.graph.add_edge(a, b, link=link)
+        self._routes.clear()
 
     # -- failure surface --------------------------------------------------------
     def set_device_up(self, name: str, up: bool = True) -> None:
@@ -148,10 +156,12 @@ class Topology:
         if name not in self.graph:
             raise NetworkError(f"unknown node {name!r}")
         self._partitioned.add(name)
+        self._routes.clear()
 
     def heal(self, name: str) -> None:
         """Undo :meth:`partition` (idempotent)."""
         self._partitioned.discard(name)
+        self._routes.clear()
 
     def is_partitioned(self, name: str) -> bool:
         return name in self._partitioned
@@ -185,14 +195,19 @@ class Topology:
             self._loopbacks[device] = link
         return link
 
-    def path_links(self, src: str, dst: str) -> list[Link]:
+    def path_links(self, src: str, dst: str) -> tuple[Link, ...]:
         """Links along the shortest path from *src* to *dst*.
 
         Same-device traffic returns the loopback link. Raises
-        :class:`~repro.errors.LinkDown` when no path exists.
+        :class:`~repro.errors.LinkDown` when no path exists. Routes are
+        cached per ``(src, dst)`` until the graph or a partition changes;
+        a missing route is not cached.
         """
         if src == dst:
-            return [self.loopback(src)]
+            return (self.loopback(src),)
+        route = self._routes.get((src, dst))
+        if route is not None:
+            return route
         if src not in self.graph or dst not in self.graph:
             raise LinkDown(f"unknown device in route {src!r} -> {dst!r}")
         for endpoint in (src, dst):
@@ -207,9 +222,11 @@ class Topology:
             path = nx.shortest_path(graph, src, dst)
         except nx.NetworkXNoPath as exc:
             raise LinkDown(f"no route from {src!r} to {dst!r}") from exc
-        return [
+        route = tuple(
             self.graph.edges[a, b]["link"] for a, b in zip(path[:-1], path[1:])
-        ]
+        )
+        self._routes[src, dst] = route
+        return route
 
     def expected_delay(self, src: str, dst: str, nbytes: int) -> float:
         """Uncontended expected transfer time along the route (planning)."""
@@ -227,7 +244,7 @@ class Topology:
         self.kernel.process(self._relay(links, nbytes, done), name="relay")
         return done
 
-    def _relay(self, links: list[Link], nbytes: int, done: Signal):
+    def _relay(self, links: tuple[Link, ...], nbytes: int, done: Signal):
         for link in links:
             yield link.transfer(nbytes)
         done.succeed(self.kernel.now)

@@ -152,14 +152,16 @@ class Kernel:
         self._running = True
         self._stopped = False
         pop_due = self._queue.pop_due
-        wait_until = self._wait_until
+        # the pure simulator advances instantly: skip the pacing hook
+        wait_until = self._wait_until if self.realtime else None
         execute = self._execute
         try:
             while not self._stopped:
                 event = pop_due(until)
                 if event is None:
                     break
-                wait_until(event.time)
+                if wait_until is not None:
+                    wait_until(event.time)
                 execute(event)
             else:
                 return self._now

@@ -7,7 +7,26 @@ suspend itself:
   expression evaluates to the signal's value; a failed signal raises inside
   the generator);
 * another :class:`Process` — resume when that process terminates (join);
-* a number — shorthand for ``kernel.timeout(number)``.
+* a number (``int`` or ``float``, not ``bool``) — sleep that many seconds.
+
+A wake-up costs at most one kernel event:
+
+* a sleep schedules the process's own resume at ``now + delay`` through
+  :meth:`Kernel.schedule <repro.sim.kernel.Kernel.schedule>`, with no
+  timeout signal in between; :meth:`Process.interrupt` cancels that event,
+  so an abandoned sleep does not hold the clock;
+* a signal that is already resolved when yielded (including the ``done``
+  of a finished process) is passed straight back into the generator,
+  with no event at all;
+* a pending signal resumes the process through one waiter event when it
+  resolves, as :meth:`Signal.wait <repro.sim.signals.Signal.wait>` does
+  for any callback.
+
+A process resumes at the same simulated time as it would through a
+timeout signal and a waiter event; only its place among the events of
+that instant moves earlier. An invalid yield (a bool, a negative or NaN
+delay, any other object) raises :class:`~repro.errors.SimulationError` at
+the yield, where the process may catch it.
 
 Example::
 
@@ -27,7 +46,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import Interrupt, SimulationError
-from .events import URGENT
+from .events import URGENT, Event
 from .signals import PENDING, Signal
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,7 +63,8 @@ class Process:
             value, or fails with the exception that escaped it.
     """
 
-    __slots__ = ("kernel", "name", "_gen", "done", "_epoch", "_waiting_on")
+    __slots__ = ("kernel", "name", "_gen", "done", "_epoch", "_waiting_on",
+                 "_timer")
 
     def __init__(self, kernel: "Kernel", gen: ProcessGenerator, name: str | None = None) -> None:
         if not hasattr(gen, "send"):
@@ -59,7 +79,10 @@ class Process:
         #: Incremented on every resume; stale wakeups from abandoned waits
         #: (e.g. after an interrupt) carry an older epoch and are dropped.
         self._epoch = 0
+        #: The pending signal the process waits on, if any.
         self._waiting_on: Signal | None = None
+        #: The event that ends the current sleep, if the process sleeps.
+        self._timer: Event | None = None
         kernel.schedule(0.0, self._resume, self._epoch, None, None)
 
     # -- state ---------------------------------------------------------------
@@ -81,9 +104,13 @@ class Process:
         """
         if not self.alive:
             return
+        # abandoned sleeps and timeouts must not hold the clock
+        if self._timer is not None:
+            self.kernel.cancel(self._timer)
+            self._timer = None
         waiting = self._waiting_on
         if waiting is not None and waiting.pending:
-            waiting.cancel_timer()  # abandoned timeouts must not hold the clock
+            waiting.cancel_timer()
         self._epoch += 1
         self._waiting_on = None
         self.kernel.schedule(
@@ -95,46 +122,60 @@ class Process:
         if epoch != self._epoch or self.done._state != PENDING:
             return  # stale wakeup (process was interrupted or already ended)
         self._waiting_on = None
-        try:
-            if exc is not None:
-                target = self._gen.throw(exc)
-            else:
-                target = self._gen.send(value)
-        except StopIteration as stop:
-            self.done.succeed(stop.value)
-            return
-        except Interrupt as unhandled:
-            self.done.fail(unhandled)
-            return
-        except Exception as error:
-            self.done.fail(error)
-            return
-        try:
-            self._wait_on(target)
-        except SimulationError as error:
-            # An invalid yield: deliver the error back at the offending
-            # yield so the process can handle (or die from) it.
-            self.kernel.schedule(
-                0.0, self._resume, self._epoch, None, error, priority=URGENT
-            )
+        self._timer = None
+        gen = self._gen
+        while True:
+            try:
+                if exc is not None:
+                    target = gen.throw(exc)
+                else:
+                    target = gen.send(value)
+            except StopIteration as stop:
+                self.done.succeed(stop.value)
+                return
+            except Exception as error:
+                self.done.fail(error)
+                return
+            self._epoch = epoch = self._epoch + 1
+            kind = type(target)
+            try:
+                if kind is not float and kind is not Signal:
+                    target = self._as_target(target)
+                if type(target) is float:
+                    self._timer = self.kernel.schedule(
+                        target, self._resume, epoch, None, None)
+                    return
+            except SimulationError as error:
+                # an invalid yield: raise it at the offending yield so the
+                # process can handle (or die from) it
+                value, exc = None, error
+                continue
+            if target._state == PENDING:
+                self._waiting_on = target
 
-    def _wait_on(self, target: Any) -> None:
-        signal = target if type(target) is Signal else self._as_signal(target)
-        self._epoch = epoch = self._epoch + 1
-        self._waiting_on = signal
+                def waiter(value: Any, exc: BaseException | None) -> None:
+                    self._resume(epoch, value, exc)
 
-        def waiter(value: Any, exc: BaseException | None) -> None:
-            self._resume(epoch, value, exc)
+                target.wait(waiter)
+                return
+            # already resolved: continue through it without a kernel event
+            value, exc = target._value, target._exc
 
-        signal.wait(waiter)
-
-    def _as_signal(self, target: Any) -> Signal:
+    def _as_target(self, target: Any) -> "Signal | float":
+        """Map a yielded object to the signal to wait on or the seconds to
+        sleep; raise :class:`SimulationError` for anything else."""
         if isinstance(target, Signal):
             return target
         if isinstance(target, Process):
             return target.done
+        if isinstance(target, bool):
+            raise SimulationError(
+                f"process {self.name!r} yielded the bool {target!r}; a bool "
+                "is not a number of seconds (expected a Signal, a Process, "
+                "or a number of seconds)"
+            )
         if isinstance(target, (int, float)):
-            return self.kernel.timeout(float(target))
+            return float(target)
         raise SimulationError(
             f"process {self.name!r} yielded {target!r}; expected a Signal, "
             "a Process, or a number of seconds"

@@ -9,6 +9,7 @@ by existing components, which keeps calibrated benchmark results stable.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,6 +75,16 @@ def lognormal_around(rng: np.random.Generator, mean: float, cv: float) -> float:
         raise ValueError("cv must be non-negative")
     if mean == 0 or cv == 0:
         return mean
+    mu, sigma = _lognormal_params(mean, cv)
+    return float(rng.lognormal(mean=mu, sigma=sigma))
+
+
+@lru_cache(maxsize=4096)
+def _lognormal_params(mean: float, cv: float) -> tuple[float, float]:
+    """The underlying normal's ``(mu, sigma)`` for :func:`lognormal_around`.
+
+    Memoized: every CPU job and link hop draws, but from only a few
+    distinct ``(mean, cv)`` pairs (at most 143 in any perfbench workload)."""
     sigma2 = np.log(1.0 + cv * cv)
     mu = np.log(mean) - sigma2 / 2.0
-    return float(rng.lognormal(mean=mu, sigma=np.sqrt(sigma2)))
+    return mu, np.sqrt(sigma2)

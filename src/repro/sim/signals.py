@@ -28,8 +28,10 @@ class Signal:
 
     Waiter callbacks receive ``(value, exc)``: exactly one of them is
     meaningful depending on whether the signal succeeded or failed. Callbacks
-    attached after resolution fire on the next kernel step at the current
-    simulated time (never synchronously), so ordering stays deterministic.
+    attached with :meth:`wait` after resolution fire on the next kernel step
+    at the current simulated time (never synchronously), so ordering stays
+    deterministic. A process that yields an already-resolved signal is the
+    exception: it continues through it at once, without a kernel event.
     """
 
     __slots__ = ("kernel", "name", "_state", "_value", "_exc", "_waiters", "_timer_event")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import LinkDown, NetworkError
 from repro.net import LinkSpec, Topology
+from repro.net import topology as topology_module
 from repro.sim import Kernel, RngStreams
 
 
@@ -105,3 +106,65 @@ class TestTransfer:
         done = topo.transfer("phone", "tv", 45000)
         kernel.run()
         assert done.value == pytest.approx(expected)
+
+
+class TestRouteCache:
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """Count the shortest-path searches the topology runs."""
+        calls = []
+        search = topology_module.nx.shortest_path
+
+        def counting(graph, src, dst):
+            calls.append((src, dst))
+            return search(graph, src, dst)
+
+        monkeypatch.setattr(topology_module.nx, "shortest_path", counting)
+        return calls
+
+    def test_route_is_searched_once(self, kernel, searches):
+        topo = star(kernel)
+        first = topo.path_links("phone", "desktop")
+        assert topo.path_links("phone", "desktop") is first
+        assert searches == [("phone", "desktop")]
+
+    @pytest.mark.parametrize("change", [
+        lambda topo: topo.add_device("fridge"),
+        lambda topo: topo.add_wifi("wifi2"),
+        lambda topo: topo.attach("fridge", "wifi"),
+        lambda topo: topo.add_cloud("cloud"),
+        lambda topo: topo.add_wired("tv", "desktop"),
+        lambda topo: topo.partition("tv"),
+        lambda topo: topo.heal("tv"),
+    ], ids=["add_device", "add_wifi", "attach", "add_cloud", "add_wired",
+            "partition", "heal"])
+    def test_every_change_forces_a_fresh_route(self, kernel, searches, change):
+        topo = star(kernel)
+        topo.path_links("phone", "desktop")
+        change(topo)
+        topo.path_links("phone", "desktop")
+        assert searches == [("phone", "desktop")] * 2
+
+    def test_new_link_replaces_cached_route(self, kernel):
+        topo = star(kernel)
+        assert len(topo.path_links("phone", "desktop")) == 2
+        topo.add_wired("phone", "desktop", LinkSpec(jitter_cv=0.0))
+        assert len(topo.path_links("phone", "desktop")) == 1
+
+    def test_partition_and_heal_reroute(self, kernel):
+        topo = star(kernel)
+        route = topo.path_links("phone", "desktop")
+        topo.partition("desktop")
+        with pytest.raises(LinkDown):
+            topo.path_links("phone", "desktop")
+        topo.heal("desktop")
+        assert topo.path_links("phone", "desktop") == route
+
+    def test_missing_route_is_not_cached(self, kernel, searches):
+        topo = Topology(kernel, RngStreams(seed=1))
+        topo.add_device("a")
+        topo.add_device("b")
+        for _ in range(2):
+            with pytest.raises(LinkDown):
+                topo.path_links("a", "b")
+        assert searches == [("a", "b")] * 2

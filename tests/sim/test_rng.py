@@ -71,3 +71,12 @@ class TestLognormalAround:
         assert samples.mean() == pytest.approx(0.050, rel=0.02)
         assert samples.std() / samples.mean() == pytest.approx(0.2, rel=0.05)
         assert (samples > 0).all()
+
+    def test_memoized_parameters_draw_bit_identical_samples(self):
+        memoized = RngStreams(seed=5).stream("t")
+        direct = RngStreams(seed=5).stream("t")
+        for mean, cv in [(0.05, 0.2), (0.05, 0.2), (1.5, 0.35), (3, 0.1)]:
+            sigma2 = np.log(1.0 + cv * cv)
+            mu = np.log(mean) - sigma2 / 2.0
+            expected = float(direct.lognormal(mean=mu, sigma=np.sqrt(sigma2)))
+            assert lognormal_around(memoized, mean, cv) == expected

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _SPEC = importlib.util.spec_from_file_location(
     "bench_compare",
     Path(__file__).parent.parent / "tools" / "bench_compare.py",
@@ -89,3 +91,38 @@ def test_improvement_prints_ratchet_hint(tmp_path, capsys):
     artifact, baseline = _files(tmp_path, latency_ms=80.0, ratio=10.0)
     assert compare.main([str(artifact), "--baseline", str(baseline)]) == 0
     assert "ratcheting" in capsys.readouterr().out
+
+
+EVENT_CEILINGS = Path(__file__).parent.parent / "tools" / "event_ceilings.json"
+#: kernel_events_per_frame of each perfbench workload at seed 1
+EVENTS_PER_FRAME = {"fleet_stage": 111.55779569892474,
+                    "home_dataplane": 144.80698351115421,
+                    "fleet_managed": 65.97025495750708}
+
+
+def _perfbench_results(tmp_path, extra_events=None):
+    """One perfbench result line per workload, as CI's perf-smoke job
+    saves them; *extra_events* adds events per frame to some workloads."""
+    extra_events = extra_events or {}
+    paths = []
+    for workload, events in EVENTS_PER_FRAME.items():
+        path = tmp_path / f"{workload}.json"
+        value = events + extra_events.get(workload, 0)
+        path.write_text(json.dumps({"correct": True, "metrics": {
+            "kernel_events_per_frame": {"value": value, "unit": "events"}}}))
+        paths.append(str(path))
+    return paths + ["--baseline", str(EVENT_CEILINGS)]
+
+
+def test_event_ceilings_pass_the_measured_counts(tmp_path, capsys):
+    assert compare.main(_perfbench_results(tmp_path)) == 0
+    assert "OK" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workload", sorted(EVENTS_PER_FRAME))
+def test_one_extra_kernel_event_per_frame_trips_the_gate(tmp_path, capsys,
+                                                         workload):
+    argv = _perfbench_results(tmp_path, extra_events={workload: 1})
+    assert compare.main(argv) == 1
+    assert f"{workload}.json:metrics.kernel_events_per_frame.value" in (
+        capsys.readouterr().out)
