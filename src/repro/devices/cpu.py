@@ -7,6 +7,12 @@ lognormal jitter. Contention emerges naturally: more concurrent work than
 cores means queueing, which is exactly why the paper offloads pose detection
 from the phone ("computational resources on the phone are not adequate for
 pose detection", §4.1).
+
+A job is a callback chain, not a process: :meth:`Cpu.execute` requests a
+core at the call, and on the grant schedules one event at the job's end
+that releases the core and resolves the job's signal. A job that finds
+every core busy continues from its queued request's grant, like any
+waiter.
 """
 
 from __future__ import annotations
@@ -14,14 +20,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..sim.kernel import Kernel
-from ..sim.resources import Resource
+from ..sim.resources import Grant, Resource
 from ..sim.rng import lognormal_around
 from ..sim.signals import Signal
 from .spec import DeviceSpec
 
 
 class Cpu:
-    """A core pool executing reference-time work items."""
+    """A core pool executing reference-time work items.
+
+    Jobs take cores in priority order (lower first), FIFO among equal
+    priorities. A job costs one kernel event when a core is free at the
+    call, and one more (the grant's waiter) when it queues.
+    """
 
     def __init__(self, kernel: Kernel, spec: DeviceSpec, rng: np.random.Generator) -> None:
         self.kernel = kernel
@@ -38,8 +49,7 @@ class Cpu:
         finishes; the job queues if all cores are busy.
         """
         done = self.kernel.signal(name=f"{self.spec.name}.cpu.job")
-        duration = self.sample_duration(reference_seconds)
-        self.kernel.process(self._run(duration, priority, done), name="cpu.job")
+        self._start(self.sample_duration(reference_seconds), priority, done)
         return done
 
     def execute_fixed(self, seconds: float, priority: int = 0) -> Signal:
@@ -53,7 +63,7 @@ class Cpu:
             duration = 0.0
         else:
             duration = lognormal_around(self.rng, seconds, self.spec.compute_jitter_cv)
-        self.kernel.process(self._run(duration, priority, done), name="cpu.fixed")
+        self._start(duration, priority, done)
         return done
 
     def sample_duration(self, reference_seconds: float) -> float:
@@ -63,9 +73,16 @@ class Cpu:
             return 0.0
         return lognormal_around(self.rng, scaled, self.spec.compute_jitter_cv)
 
-    def _run(self, duration: float, priority: int, done: Signal):
-        grant = yield self.cores.request(priority=priority)
-        yield duration
+    def _start(self, duration: float, priority: int, done: Signal) -> None:
+        request = self.cores.request(priority=priority)
+        if request.succeeded:
+            self.kernel.schedule(duration, self._finish, request.value,
+                                 duration, done)
+        else:
+            request.wait(lambda grant, _exc: self.kernel.schedule(
+                duration, self._finish, grant, duration, done))
+
+    def _finish(self, grant: Grant, duration: float, done: Signal) -> None:
         self.cores.release(grant)
         self.jobs_completed += 1
         self.busy_seconds += duration

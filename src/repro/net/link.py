@@ -15,11 +15,12 @@ message, it does not destroy it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..sim.kernel import Kernel
-from ..sim.resources import Resource
+from ..sim.resources import Grant, Resource
 from ..sim.rng import lognormal_around
 from ..sim.signals import Signal
 
@@ -76,7 +77,10 @@ class Link:
 
     ``transfer(nbytes)`` returns a signal that resolves when the last byte
     arrives at the far end. Transmissions serialize on the link's medium
-    resource; propagation of one message overlaps the next transmission.
+    resource, FIFO; propagation of one message overlaps the next
+    transmission. A transfer is a callback chain, not a process: it costs
+    two kernel events (end of airtime, arrival), plus the grant's waiter
+    when the medium is busy at the call.
     """
 
     def __init__(
@@ -105,22 +109,39 @@ class Link:
     def transfer(self, nbytes: int) -> Signal:
         """Start transferring *nbytes*; returns the arrival signal."""
         done = self.kernel.signal(name=f"{self.name}.transfer")
-        self.kernel.process(self._transfer(nbytes, done), name=f"{self.name}.tx")
+        self._start(nbytes, done.succeed)
         return done
 
-    def _transfer(self, nbytes: int, done: Signal):
-        grant = yield self.medium.request()
+    def _start(self, nbytes: int, then: Callable[[float], None]) -> None:
+        """Send *nbytes* as a callback chain and call ``then(arrival_time)``
+        when the last byte arrives: medium request -> :meth:`_transmit` on
+        the grant -> :meth:`_sent` after the airtime -> :meth:`_arrive`
+        after the latency. The medium is requested at the call."""
+        request = self.medium.request()
+        if request.succeeded:
+            self._transmit(request.value, nbytes, then)
+        else:
+            request.wait(
+                lambda grant, _exc: self._transmit(grant, nbytes, then))
+
+    def _transmit(self, grant: Grant, nbytes: int,
+                  then: Callable[[float], None]) -> None:
         tx_time = self.spec.transmission_time(nbytes)
         if self.spec.loss_prob > 0 and self.rng.random() < self.spec.loss_prob:
             tx_time += self.spec.retransmit_penalty_s
             self.retransmits += 1
-        yield tx_time
+        self.kernel.schedule(tx_time, self._sent, grant, nbytes, then)
+
+    def _sent(self, grant: Grant, nbytes: int,
+              then: Callable[[float], None]) -> None:
         self.medium.release(grant)
         self.messages_sent += 1
         self.bytes_sent += nbytes
         latency = lognormal_around(self.rng, self.spec.latency_s, self.spec.jitter_cv)
-        yield latency + self.extra_latency_s
-        done.succeed(self.kernel.now)
+        self.kernel.schedule(latency + self.extra_latency_s, self._arrive, then)
+
+    def _arrive(self, then: Callable[[float], None]) -> None:
+        then(self.kernel.now)
 
     def expected_delay(self, nbytes: int) -> float:
         """Uncontended expected transfer time (for planning/placement)."""

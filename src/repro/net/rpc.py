@@ -280,7 +280,7 @@ class RpcClient:
             message.headers.update(headers)
         self.calls_sent += 1
         sent = self.transport.send(message)
-        sent.wait(lambda _v, exc: self._on_send_failure(request_id, exc))
+        sent.on_fail(lambda _v, exc: self._on_send_failure(request_id, exc))
         if timeout_s is not None:
             self._timers[request_id] = self.kernel.schedule(
                 timeout_s, self._on_timeout, request_id
@@ -296,9 +296,7 @@ class RpcClient:
             self.kernel.cancel(timer)
         return result
 
-    def _on_send_failure(self, request_id: int, exc: BaseException | None) -> None:
-        if exc is None:
-            return
+    def _on_send_failure(self, request_id: int, exc: BaseException) -> None:
         result = self._settle(request_id)
         if result is not None and result.pending:
             result.fail(RpcError(f"request delivery failed: {exc}"))

@@ -237,14 +237,20 @@ class Topology:
         """Move *nbytes* from *src* to *dst* hop by hop.
 
         Returns a signal resolving with the arrival time. The route is
-        resolved eagerly so routing errors raise at call time.
+        resolved eagerly so routing errors raise at call time. Each hop's
+        arrival starts the next hop in the same event, so a multi-hop
+        route costs no event between hops.
         """
         links = self.path_links(src, dst)
         done = self.kernel.signal(name=f"transfer:{src}->{dst}")
-        self.kernel.process(self._relay(links, nbytes, done), name="relay")
+        self._hop(links, 0, nbytes, done)
         return done
 
-    def _relay(self, links: tuple[Link, ...], nbytes: int, done: Signal):
-        for link in links:
-            yield link.transfer(nbytes)
-        done.succeed(self.kernel.now)
+    def _hop(self, links: tuple[Link, ...], index: int, nbytes: int,
+             done: Signal) -> None:
+        link = links[index]
+        if index + 1 == len(links):
+            link._start(nbytes, done.succeed)
+        else:
+            link._start(
+                nbytes, lambda _now: self._hop(links, index + 1, nbytes, done))

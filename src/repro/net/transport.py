@@ -48,9 +48,11 @@ class Transport:
 
     @property
     def in_flight(self) -> int:
-        """Messages sent but neither delivered nor failed yet. The
-        conservation law ``sent == delivered + failed + in_flight`` holds
-        at every instant; the auditor checks it."""
+        """Messages sent but neither delivered nor failed yet. A message
+        leaves this count in the instant its send resolves (or when the
+        transport closes), so the conservation law
+        ``sent == delivered + failed + in_flight`` holds at every instant;
+        the auditor checks it."""
         return len(self._pending_sends)
 
     # -- binding ---------------------------------------------------------------
@@ -107,7 +109,6 @@ class Transport:
             done.fail(exc)
             return done
         self._pending_sends[done] = message
-        done.wait(lambda _v, _e: self._pending_sends.pop(done, None))
         arrival.wait(lambda _t, exc: self._deliver(message, done, exc))
         return done
 
@@ -126,6 +127,8 @@ class Transport:
     def _deliver(self, message: Message, done: Signal, exc: BaseException | None) -> None:
         if not done.pending:
             return  # already failed (e.g. the transport closed mid-flight)
+        # every branch below resolves the send
+        del self._pending_sends[done]
         if exc is not None:
             self._count_failure(message)
             done.fail(exc)

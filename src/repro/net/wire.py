@@ -15,7 +15,8 @@ Two jobs:
 from __future__ import annotations
 
 import struct
-from typing import Any
+from itertools import chain
+from typing import Any, Callable
 
 import numpy as np
 
@@ -182,7 +183,19 @@ def decode(data: bytes) -> Any:
 
 
 def _size_of(value: Any) -> int:
-    """Size of the encoding of *value*, without building the buffer."""
+    """Size of the encoding of *value*, without building the buffer.
+
+    Exact built-in and numpy types dispatch on ``type(value)`` through
+    :data:`_SIZERS`; anything else (subclasses, ``wire_size`` hints) takes
+    :func:`_size_of_other`.
+    """
+    sizer = _SIZERS.get(type(value))
+    if sizer is None:
+        return _size_of_other(value)
+    return sizer(value)
+
+
+def _size_of_other(value: Any) -> int:
     if value is None or value is True or value is False:
         return 1
     if isinstance(value, (int, np.integer)):
@@ -198,14 +211,67 @@ def _size_of(value: Any) -> int:
     if isinstance(value, dict):
         return 5 + sum(_size_of(k) + _size_of(v) for k, v in value.items())
     if isinstance(value, np.ndarray):
-        dtype_len = len(value.dtype.str.encode("ascii"))
-        return 1 + 1 + dtype_len + 1 + 8 * value.ndim + 8 + value.nbytes
+        return _ndarray_size(value)
     # Objects with an explicit wire-size hint (e.g. encoded video frames
     # carry their compressed size without holding real pixel buffers).
     hint = getattr(value, "wire_size", None)
     if hint is not None:
         return int(hint)
     raise WireFormatError(f"unsupported wire type: {type(value).__name__}")
+
+
+def _str_size(value: str) -> int:
+    # an ASCII string encodes to one byte per character
+    return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+
+
+def _sequence_size(value: list | tuple) -> int:
+    return 5 + sum(map(_size_of, value))
+
+
+def _dict_size(value: dict) -> int:
+    # key, value, key, value...: the order the isinstance chain sizes them
+    return 5 + sum(map(_size_of, chain.from_iterable(value.items())))
+
+
+def _ndarray_size(value: np.ndarray) -> int:
+    dtype_len = len(value.dtype.str.encode("ascii"))
+    return 1 + 1 + dtype_len + 1 + 8 * value.ndim + 8 + value.nbytes
+
+
+def _one_byte(_value: Any) -> int:
+    return 1
+
+
+def _nine_bytes(_value: Any) -> int:
+    return 9
+
+
+def _bytes_size(value: bytes | bytearray | memoryview) -> int:
+    return 5 + len(value)
+
+
+#: Sizers for exact types; a subclass (``bool`` of ``int``, ``np.float64``
+#: of ``float``) has its own entry or falls back to the ``isinstance`` chain.
+_SIZERS: dict[type, Callable[[Any], int]] = {
+    type(None): _one_byte,
+    bool: _one_byte,
+    int: _nine_bytes,
+    float: _nine_bytes,
+    str: _str_size,
+    bytes: _bytes_size,
+    bytearray: _bytes_size,
+    memoryview: _bytes_size,
+    list: _sequence_size,
+    tuple: _sequence_size,
+    dict: _dict_size,
+    np.ndarray: _ndarray_size,
+    **{scalar: _nine_bytes for scalar in (
+        np.int8, np.int16, np.int32, np.int64,
+        np.uint8, np.uint16, np.uint32, np.uint64,
+        np.float16, np.float32, np.float64,
+    )},
+}
 
 
 def payload_size(value: Any) -> int:

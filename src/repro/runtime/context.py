@@ -147,7 +147,7 @@ class ModuleContext:
             signal.wait(_record)
         else:
             signal = stub.call(payload)
-        signal.wait(_count_rejection)
+        signal.on_fail(_count_rejection)
         if host is not None and host.cache_hits > hits_before:
             self.metrics.increment(f"service_cache_hits.{service_name}")
         return signal

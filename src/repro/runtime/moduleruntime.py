@@ -180,31 +180,31 @@ class ModuleRuntime:
             wiring = self._wiring_of(source_module)
         target_address = wiring.address_of(target_module)
         source_address = wiring.address_of(source_module)
-        done = self.kernel.signal(name=f"send:{source_module}->{target_module}")
         local = target_address.device == self.device.name
+        if local:
+            done = self.transport.send(self._build_message(
+                kind, payload, source_address, target_address, headers,
+                local=True,
+            ))
+        else:
+            done = self.kernel.signal(
+                name=f"send:{source_module}->{target_module}")
+            self.kernel.process(
+                self._send_remote(
+                    kind, payload, source_address, target_address, headers, done
+                ),
+                name=f"ship:{source_module}->{target_module}",
+            )
         if kind == DATA:
             # a data message that dies in flight (listener unbound during a
             # migration, destination crashed) takes its frame with it: the
             # local path still owns the payload's refs, the remote path
             # released them at encode — either way the frame must be
             # accounted as dropped, like a drained mailbox
-            done.wait(
-                lambda _v, exc: self._dead_letter(
+            done.on_fail(
+                lambda _v, _exc: self._dead_letter(
                     source_module, wiring, payload, release_local_refs=local
-                ) if exc is not None else None
-            )
-        if local:
-            message = self._build_message(
-                kind, payload, source_address, target_address, headers,
-                local=True,
-            )
-            self._forward(message, done)
-        else:
-            self.kernel.process(
-                self._send_remote(
-                    kind, payload, source_address, target_address, headers, done
-                ),
-                name=f"ship:{source_module}->{target_module}",
+                )
             )
         return done
 
@@ -294,12 +294,6 @@ class ModuleRuntime:
             message.headers[H_TRACE] = trace
         return message
 
-    def _forward(self, message: Message, done: Signal) -> None:
-        sent = self.transport.send(message)
-        sent.wait(
-            lambda value, exc: done.fail(exc) if exc is not None else done.succeed(value)
-        )
-
     # -- receiving ---------------------------------------------------------------------
     def _on_message(self, deployed: DeployedModule, message: Message) -> None:
         event = ModuleEvent(
@@ -387,9 +381,9 @@ class ModuleRuntime:
                 else:
                     result = module.event_received(deployed.ctx, event)
                 if inspect.isgenerator(result):
-                    yield self.kernel.process(
-                        result, name=f"{deployed.name}.handler"
-                    )
+                    # run the handler inside this worker: workers are never
+                    # interrupted, so it needs no process of its own
+                    yield from result
             except Exception as exc:  # a module crash must not kill the device
                 failed = True
                 deployed.errors.append(exc)

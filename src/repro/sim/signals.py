@@ -2,7 +2,8 @@
 
 A :class:`Signal` resolves exactly once, either with a value (:meth:`succeed`)
 or an exception (:meth:`fail`). Processes yield signals to suspend until
-resolution; plain callbacks can also be attached with :meth:`wait`.
+resolution; plain callbacks can also be attached with :meth:`wait`, or with
+:meth:`on_fail` when only a failure needs handling.
 
 :func:`all_of` and :func:`any_of` build composite signals for fan-in waits.
 """
@@ -32,6 +33,12 @@ class Signal:
     at the current simulated time (never synchronously), so ordering stays
     deterministic. A process that yields an already-resolved signal is the
     exception: it continues through it at once, without a kernel event.
+
+    :meth:`on_fail` attaches a failure-only waiter: on failure it is
+    scheduled exactly like a :meth:`wait` callback, in registration order
+    among all waiters; on success it schedules nothing, so a check that
+    only matters when something went wrong costs no event on the common
+    path.
     """
 
     __slots__ = ("kernel", "name", "_state", "_value", "_exc", "_waiters", "_timer_event")
@@ -107,6 +114,10 @@ class Signal:
         schedule = self.kernel.schedule
         value, exc = self._value, self._exc
         for waiter in waiters:
+            if type(waiter) is _OnFail:
+                if exc is None:
+                    continue
+                waiter = waiter.callback
             schedule(0.0, waiter, value, exc)
 
     # -- waiting ------------------------------------------------------------
@@ -119,6 +130,19 @@ class Signal:
         if self._state == PENDING:
             self._waiters.append(callback)
         else:
+            self.kernel.schedule(0.0, callback, self._value, self._exc)
+
+    def on_fail(self, callback: Waiter) -> None:
+        """Invoke ``callback(value, exc)`` only if the signal fails.
+
+        On failure the callback is scheduled like a :meth:`wait` callback
+        (never synchronously, in registration order among all waiters;
+        at once if the signal has already failed). On success nothing is
+        scheduled.
+        """
+        if self._state == PENDING:
+            self._waiters.append(_OnFail(callback))
+        elif self._state == FAILED:
             self.kernel.schedule(0.0, callback, self._value, self._exc)
 
     def cancel_timer(self) -> None:
@@ -141,6 +165,15 @@ class Signal:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Signal {self.name or id(self):} {self._state}>"
+
+
+class _OnFail:
+    """A waiter list entry that fires only when the signal fails."""
+
+    __slots__ = ("callback",)
+
+    def __init__(self, callback: Waiter) -> None:
+        self.callback = callback
 
 
 def all_of(kernel: "Kernel", signals: Sequence[Signal]) -> Signal:

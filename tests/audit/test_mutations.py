@@ -14,14 +14,16 @@ from repro.audit import InvariantAuditor
 from repro.core import VideoPipe
 from repro.devices import Device, desktop, flagship_phone_2018
 from repro.errors import StaleHandleError
-from repro.frames import FrameStore
+from repro.frames import FrameStore, SyntheticCamera
 from repro.metrics.collector import MetricsCollector
+from repro.motion import Squat
 from repro.net import BrokerlessTransport, LinkSpec, Topology
 from repro.net.address import Address
 from repro.net.message import Message
+from repro.runtime import FunctionModule, ModuleRuntime, PipelineWiring
 from repro.services import FunctionService, ServiceHost
 from repro.services.scaling import AutoScaler, ScalingPolicy
-from repro.sim import Kernel, RngStreams
+from repro.sim import Kernel, RngStreams, Signal
 
 
 @pytest.fixture(autouse=True)
@@ -259,3 +261,58 @@ class TestStaleAccessHook:
         real store and goes unrecorded once the hook is removed."""
         assert _stale_access_violations(FrameStore) == ["stale-access"]
         assert _stale_access_violations(HooklessStore) == []
+
+
+def _dead_letter_violations(dst_device):
+    """Send one admitted frame from ``a`` (phone) to ``b`` on *dst_device*
+    and undeploy ``b`` before the message lands, so the send fails and
+    must be dead-lettered; return the auditor's invariants at quiesce."""
+    home = MiniHome()
+    runtimes = {name: ModuleRuntime(home.kernel, device, home.transport)
+                for name, device in home.devices.items()}
+    wiring = PipelineWiring("p", metrics=MetricsCollector("p"))
+    wiring.addresses = {"a": Address("phone", 5000),
+                        "b": Address(dst_device, 5001)}
+    wiring.next_modules = {"a": ["b"], "b": []}
+    auditor = InvariantAuditor(home.kernel)
+    for device in home.devices.values():
+        auditor.watch_store(device.frame_store)
+    auditor.watch_metrics(wiring.metrics)
+    sender = runtimes["phone"].deploy(
+        "a", FunctionModule(lambda ctx, event: None),
+        wiring.address_of("a"), wiring)
+    runtimes[dst_device].deploy(
+        "b", FunctionModule(lambda ctx, event: None),
+        wiring.address_of("b"), wiring)
+    ctx = sender.ctx
+    ref = ctx.store_frame(SyntheticCamera("phone", Squat()).capture(1, 0.0))
+    ctx.frame_entered(1)
+    ctx.call_module("b", {"frame_id": 1, "frame": ref})
+    runtimes[dst_device].undeploy("b")  # the listener is gone on arrival
+    home.kernel.run()
+    violations = sorted({v.invariant for v in auditor.check_quiesce()})
+    return violations, wiring.metrics.counter("dead_letters")
+
+
+def _on_fail_skipping_failures(self, callback):
+    """The mutation: a failure-only waiter is dropped, as on success."""
+
+
+class TestDeadLetterOnFail:
+    """Dead letters are settled by a failure-only waiter
+    (:meth:`Signal.on_fail`). If it skipped failures, a frame lost in
+    flight would stay admitted forever and, on the local path, keep its
+    refs."""
+
+    @pytest.mark.parametrize("dst_device", ["phone", "desktop"])
+    def test_dead_letter_is_settled(self, dst_device):
+        assert _dead_letter_violations(dst_device) == ([], 1)
+
+    @pytest.mark.parametrize("dst_device, tripped", [
+        ("phone", ["frame-ref-conservation", "metrics-conservation"]),
+        ("desktop", ["metrics-conservation"]),
+    ])
+    def test_skipping_failures_trips_conservation(self, monkeypatch,
+                                                  dst_device, tripped):
+        monkeypatch.setattr(Signal, "on_fail", _on_fail_skipping_failures)
+        assert _dead_letter_violations(dst_device) == (tripped, 0)

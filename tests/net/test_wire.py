@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.net.wire import (
     ENVELOPE_OVERHEAD,
     WireFormatError,
+    _size_of,
     decode,
     encode,
     payload_size,
@@ -139,3 +140,121 @@ def test_property_roundtrip(value):
 @settings(max_examples=150)
 def test_property_size_model_is_exact(value):
     assert payload_size(value) == ENVELOPE_OVERHEAD + len(encode(value))
+
+
+def reference_size_of(value):
+    """``_size_of`` as it was before the exact-type dispatch: one
+    ``isinstance`` chain for every value."""
+    if value is None or value is True or value is False:
+        return 1
+    if isinstance(value, (int, np.integer)):
+        return 9
+    if isinstance(value, (float, np.floating)):
+        return 9
+    if isinstance(value, str):
+        return 5 + len(value.encode("utf-8"))
+    if isinstance(value, (bytes, bytearray, memoryview)):
+        return 5 + len(value)
+    if isinstance(value, (list, tuple)):
+        return 5 + sum(reference_size_of(item) for item in value)
+    if isinstance(value, dict):
+        return 5 + sum(reference_size_of(k) + reference_size_of(v)
+                       for k, v in value.items())
+    if isinstance(value, np.ndarray):
+        dtype_len = len(value.dtype.str.encode("ascii"))
+        return 1 + 1 + dtype_len + 1 + 8 * value.ndim + 8 + value.nbytes
+    hint = getattr(value, "wire_size", None)
+    if hint is not None:
+        return int(hint)
+    raise WireFormatError(f"unsupported wire type: {type(value).__name__}")
+
+
+class Hinted:
+    def __init__(self, size):
+        self.wire_size = size
+
+
+class HintedInt(int):
+    """An int subclass with a hint: sized as an int, not by the hint."""
+
+    wire_size = 1000
+
+
+class Label(str):
+    pass
+
+
+class Unsized:
+    pass
+
+
+def _sized(value):
+    try:
+        return reference_size_of(value), None
+    except WireFormatError as exc:
+        return None, str(exc)
+
+
+numpy_scalars = st.one_of(
+    st.integers(-100, 100).map(np.int64),
+    st.integers(-100, 100).map(np.int32),
+    st.integers(0, 200).map(np.uint8),
+    st.floats(allow_nan=False, width=32).map(np.float32),
+    st.floats(allow_nan=False).map(np.float64),
+    st.booleans().map(np.bool_),  # unsupported, on both paths
+)
+leaves = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(), st.text(max_size=12), st.binary(max_size=12),
+    st.binary(max_size=12).map(bytearray),
+    st.binary(max_size=12).map(memoryview),
+    numpy_scalars,
+    st.lists(st.integers(0, 9), max_size=6).map(np.array),
+    st.integers(0, 5000).map(Hinted),
+    st.integers(0, 9).map(HintedInt),
+    st.text(max_size=6).map(Label),
+    st.just(Unsized()),
+)
+nested_payloads = st.recursive(
+    leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        # unsupported keys too: the first unsupported item names the error
+        st.dictionaries(st.one_of(st.text(max_size=8), st.integers(0, 9),
+                                  st.just(Unsized()),
+                                  st.booleans().map(np.bool_)),
+                        children, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@given(value=nested_payloads)
+@settings(max_examples=300)
+def test_property_dispatch_sizes_like_the_isinstance_chain(value):
+    """Every nested payload gets the size (or the error) the pre-dispatch
+    function gives it: exact types, subclasses, hints and numpy scalars."""
+    size, error = _sized(value)
+    if error is None:
+        assert _size_of(value) == size
+    else:
+        with pytest.raises(WireFormatError) as raised:
+            _size_of(value)
+        assert str(raised.value) == error
+
+
+@pytest.mark.parametrize("value, size", [
+    (True, 1), (False, 1), (7, 9), (np.int64(3), 9), (np.float32(1.0), 9),
+    (np.float64(2.5), 9),  # a float subclass, with its own entry
+    (HintedInt(4), 9),  # an int subclass: the chain ignores its hint
+    (Label("ab"), 7), ("ünï", 10), (Hinted(12), 12),
+], ids=repr)
+def test_subclasses_and_numpy_scalars_size_as_before(value, size):
+    assert _size_of(value) == reference_size_of(value) == size
+
+
+def test_numpy_bool_is_still_unsupported():
+    with pytest.raises(WireFormatError, match="bool"):
+        _size_of(np.bool_(True))

@@ -16,6 +16,14 @@ so every simulated output stayed bit-identical; the referee for that is
 (every example scenario's fingerprint and the fleet's latencies) rather
 than the events that produce them.
 
+It shrank on purpose again when the message path stopped spawning
+sub-processes and paying bookkeeping hops: CPU jobs, link hops and route
+relays became callback chains, module handlers run inside their worker,
+local sends return the transport's own signal, and failure-only checks
+(dead letters, breaker rejections, RPC send failures) schedule nothing
+on success (quickstart 11,254 -> 6,056 records, fleet 12,456 -> 6,632).
+The outputs pinned by ``tests/sim/test_output_golden.py`` did not move.
+
 Regenerate a digest only for a change that is *meant* to alter the event
 stream, and say why in the change log::
 
@@ -32,16 +40,16 @@ from repro.fleet import Fleet, FleetConfig
 
 QUICKSTART_SEED = 7
 QUICKSTART_DIGEST = (
-    "c3aa9c21ac381bce560e1e9904ad67320ae522dad1f8ca85d89b629e198224de"
+    "523d63547374bba596d7a5646e7fbac492dbee7bb3849ade365fc57d09971804"
 )
-QUICKSTART_RECORDS = 11254
+QUICKSTART_RECORDS = 6056
 
 FLEET_CONFIG = FleetConfig(homes=4, seed=1, duration_s=2.0, audit=True,
                            workload="stage")
 FLEET_DIGEST = (
-    "a5266bb684477bdc332667fb9dfcca45e03d9d0ba521f3fbf5bd140d10c794e4"
+    "45580160484419cb6e714eedd47db0740c31fea737b55da57add8ffe55a9beb0"
 )
-FLEET_RECORDS = 12456
+FLEET_RECORDS = 6632
 
 
 def stream_digest(records: list) -> str:

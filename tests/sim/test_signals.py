@@ -94,6 +94,49 @@ class TestWaiters:
         assert seen == ["first", "second"]
 
 
+class TestOnFail:
+    def test_success_schedules_nothing(self, kernel):
+        sig = kernel.signal()
+        seen = []
+        sig.on_fail(lambda v, e: seen.append(e))
+        sig.succeed("x")
+        assert kernel.pending_events == 0
+        kernel.run()
+        assert seen == []
+
+    def test_failure_fires_once_in_order_with_wait_callbacks(self, kernel):
+        sig = kernel.signal()
+        seen = []
+        err = ValueError("boom")
+        sig.wait(lambda v, e: seen.append(("wait-1", v, e)))
+        sig.on_fail(lambda v, e: seen.append(("on_fail", v, e)))
+        sig.wait(lambda v, e: seen.append(("wait-2", v, e)))
+        sig.fail(err)
+        assert seen == []  # never synchronously
+        assert kernel.pending_events == 3
+        kernel.run()
+        assert seen == [("wait-1", None, err), ("on_fail", None, err),
+                        ("wait-2", None, err)]
+
+    def test_attached_after_failure_fires_on_the_next_step(self, kernel):
+        err = ValueError("boom")
+        sig = kernel.signal().fail(err)
+        seen = []
+        sig.on_fail(lambda v, e: seen.append(e))
+        assert seen == []
+        assert kernel.step()
+        assert seen == [err]
+        assert not kernel.step()
+
+    def test_attached_after_success_never_fires(self, kernel):
+        sig = kernel.signal().succeed("x")
+        seen = []
+        sig.on_fail(lambda v, e: seen.append(e))
+        assert kernel.pending_events == 0
+        kernel.run()
+        assert seen == []
+
+
 class TestAllOf:
     def test_collects_all_values_in_order(self, kernel):
         sigs = [kernel.signal() for _ in range(3)]

@@ -95,9 +95,9 @@ def test_improvement_prints_ratchet_hint(tmp_path, capsys):
 
 EVENT_CEILINGS = Path(__file__).parent.parent / "tools" / "event_ceilings.json"
 #: kernel_events_per_frame of each perfbench workload at seed 1
-EVENTS_PER_FRAME = {"fleet_stage": 111.55779569892474,
-                    "home_dataplane": 144.80698351115421,
-                    "fleet_managed": 65.97025495750708}
+EVENTS_PER_FRAME = {"fleet_stage": 59.55779569892473,
+                    "home_dataplane": 80.95635305528613,
+                    "fleet_managed": 37.97025495750708}
 
 
 def _perfbench_results(tmp_path, extra_events=None):
